@@ -26,7 +26,6 @@ def main() -> None:
     parser.add_argument("--n", type=int, default=1_000_000, metavar="N",
                         help="experiments per seed")
     parser.add_argument("--tolerance", type=float, default=0.002)
-    parser.add_argument("--workers", type=int, default=1)
     args = parser.parse_args()
 
     print(f"{'seed':>4}  {'halfer':>10}  {'dev':>10}  {'thirder':>10}  {'dev':>10}")
@@ -36,7 +35,7 @@ def main() -> None:
         config = SimulationConfig(
             seed=seed, n_experiments=args.n, checkpoint_stride=args.n
         )
-        record = run_simulation(config, workers=args.workers)
+        record = run_simulation(config)
         halfer = halfer_statistic(record)
         thirder = thirder_statistic(record)
         dev_h = halfer - 0.5

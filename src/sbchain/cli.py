@@ -195,7 +195,7 @@ def cmd_simulate(args) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    record = simulation.run_simulation(config, workers=args.workers)
+    record = simulation.run_simulation(config)
     if args.format == "json":
         print(simulation.record_to_json(record))
     elif args.format == "csv":
@@ -274,12 +274,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="checkpoint every this many experiments (default 100000)",
     )
     p_sim.add_argument("--format", choices=["text", "json", "csv"], default="text")
-    p_sim.add_argument(
-        "--workers",
-        type=int,
-        default=1,
-        help="threads for block generation; never affects the result",
-    )
     p_sim.set_defaults(func=cmd_simulate)
 
     p_conv = sub.add_parser(

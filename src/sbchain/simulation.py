@@ -10,17 +10,17 @@ functions.
 Reproducibility contract: tosses come from numpy's Philox counter-based
 generator (philox4x64) keyed with (seed, block_index), one independent stream
 per block of 65536 experiments. The toss stream depends only on the seed, so
-identical configs produce bit-identical records no matter how many worker
-threads generated the blocks. Merging per-block counters is an associative,
-commutative fold; checkpointing walks the merged stream in experiment order.
+identical configs produce bit-identical records. Every path is one fold over
+the blocks in experiment order that keeps only running Heads counts, so memory
+is one block plus the checkpoints for any run length.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping, NamedTuple
+from itertools import repeat
+from typing import Iterable, Iterator, Mapping, NamedTuple
 
 import json
 
@@ -30,6 +30,12 @@ from .sbp_model import Awakening, EmptyInput, Toss, _coerce_tosses
 
 GENERATOR_NAME = "philox4x64"
 BLOCK_SIZE = 1 << 16
+_STATES = (Awakening.M_H, Awakening.M_T, Awakening.TU)
+
+
+def _require_int(name: str, value) -> None:
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"{name} must be an int, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -42,6 +48,8 @@ class SimulationConfig:
     checkpoint_stride: int
 
     def __post_init__(self):
+        for name in ("seed", "n_experiments", "checkpoint_stride"):
+            _require_int(name, getattr(self, name))
         if not 0 <= self.seed < 2**64:
             raise ValueError(f"seed must be a 64-bit unsigned integer, got {self.seed}")
         if self.n_experiments < 1:
@@ -110,27 +118,20 @@ class LLNTrace:
 
 
 def _block_heads(seed: int, block_index: int, count: int) -> np.ndarray:
-    """Fair tosses for one block: True means Heads.
+    """Fair tosses for one block as uint8: 1 means Heads.
 
     Philox is counter-based, so the stream is fully determined by the
     (seed, block_index) key regardless of what other blocks were generated.
     """
     key = np.array([seed, block_index], dtype=np.uint64)
     rng = np.random.Generator(np.random.Philox(key=key))
-    return rng.integers(0, 2, size=count, dtype=np.uint8) == 1
+    return rng.integers(0, 2, size=count, dtype=np.uint8)
 
 
-def _generate_heads(seed: int, n: int, workers: int | None = None) -> np.ndarray:
-    n_blocks = (n + BLOCK_SIZE - 1) // BLOCK_SIZE
-    sizes = [min(BLOCK_SIZE, n - b * BLOCK_SIZE) for b in range(n_blocks)]
-    if workers is not None and workers > 1 and n_blocks > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            parts = list(
-                pool.map(lambda b: _block_heads(seed, b, sizes[b]), range(n_blocks))
-            )
-    else:
-        parts = [_block_heads(seed, b, sizes[b]) for b in range(n_blocks)]
-    return np.concatenate(parts)
+def _seeded_blocks(config: SimulationConfig) -> Iterator[np.ndarray]:
+    n = config.n_experiments
+    for b, start in enumerate(range(0, n, BLOCK_SIZE)):
+        yield _block_heads(config.seed, b, min(BLOCK_SIZE, n - start))
 
 
 def _checkpoint_marks(total: int, stride: int) -> list[int]:
@@ -140,45 +141,71 @@ def _checkpoint_marks(total: int, stride: int) -> list[int]:
     return marks
 
 
-def _build_record(
-    heads: np.ndarray,
-    stride: int,
-    config: SimulationConfig | None,
-    generator: str | None,
+def _fold(
+    blocks: Iterable[np.ndarray], stride: int, per_awakening: bool = False
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Walk the toss blocks once, reading running Heads counts at marks.
+
+    Marks sit at every ``stride``-th experiment, or awakening if
+    ``per_awakening``, plus the last one. Returns per mark q: q, the number
+    m of experiments complete within the first q units, and their Heads count
+    h(m). After m experiments there have been a(m) = 2m - h(m) awakenings; an
+    awakening mark with a(m) < q stops on the Monday of Tails experiment m + 1.
+    """
+    marks, done, heads = [], [], []
+    m0 = h0 = c0 = 0
+    for block in blocks:
+        m1 = m0 + len(block)
+        h1 = h0 + int(np.count_nonzero(block))
+        c1 = 2 * m1 - h1 if per_awakening else m1
+        q = np.arange(c0 - c0 % stride + stride, c1 + 1, stride)
+        if len(q):
+            h = np.cumsum(block, dtype=np.int64)
+            h += h0
+            if per_awakening:
+                i = np.searchsorted(2 * np.arange(m0 + 1, m1 + 1) - h, q, side="right")
+            else:
+                i = q - m0
+            marks.append(q)
+            done.append(i + m0)
+            heads.append(np.where(i > 0, h[i - 1], h0))
+        m0, h0, c0 = m1, h1, c1
+    if c0 % stride:
+        marks.append([c0])
+        done.append([m0])
+        heads.append([h0])
+    return np.concatenate(marks), np.concatenate(done), np.concatenate(heads)
+
+
+def _make_checkpoints(*columns: list) -> tuple[Checkpoint, ...]:
+    # tuple.__new__ skips the Python-level NamedTuple constructor, which
+    # dominates at 1e5+ checkpoints.
+    return tuple(map(tuple.__new__, repeat(Checkpoint), zip(*columns)))
+
+
+def _record(
+    blocks: Iterable[np.ndarray], stride: int, config: SimulationConfig | None = None
 ) -> SimulationRecord:
-    n = len(heads)
-    heads_cum = np.cumsum(heads, dtype=np.int64)
-    heads_total = int(heads_cum[-1])
-    tails_total = n - heads_total
-    checkpoints = []
-    for m in _checkpoint_marks(n, stride):
-        h = int(heads_cum[m - 1])
-        awakenings = 2 * m - h
-        checkpoints.append(Checkpoint(m, awakenings, h / m, h / awakenings))
+    _, m, h = _fold(blocks, stride)
+    a = 2 * m - h
+    n, heads = int(m[-1]), int(h[-1])
     return SimulationRecord(
         config=config,
-        generator=generator,
-        heads_experiments=heads_total,
+        generator=None if config is None else GENERATOR_NAME,
+        heads_experiments=heads,
         total_experiments=n,
-        heads_awakenings=heads_total,
-        total_awakenings=heads_total + 2 * tails_total,
-        state_counts=StateCounts(heads_total, tails_total, tails_total),
-        checkpoints=tuple(checkpoints),
+        heads_awakenings=heads,
+        total_awakenings=int(a[-1]),
+        state_counts=StateCounts(heads, n - heads, n - heads),
+        checkpoints=_make_checkpoints(
+            m.tolist(), a.tolist(), (h / m).tolist(), (h / a).tolist()
+        ),
     )
 
 
-def run_simulation(
-    config: SimulationConfig, workers: int | None = None
-) -> SimulationRecord:
-    """Run ``config.n_experiments`` seeded experiments.
-
-    ``workers`` only chooses how many threads generate toss blocks; it never
-    changes the result.
-    """
-    heads = _generate_heads(config.seed, config.n_experiments, workers)
-    return _build_record(
-        heads, config.checkpoint_stride, config=config, generator=GENERATOR_NAME
-    )
+def run_simulation(config: SimulationConfig) -> SimulationRecord:
+    """Run ``config.n_experiments`` seeded experiments."""
+    return _record(_seeded_blocks(config), config.checkpoint_stride, config)
 
 
 def forced_run(
@@ -188,10 +215,11 @@ def forced_run(
     tosses = _coerce_tosses(coins)
     if not tosses:
         raise EmptyInput("cannot run a simulation on an empty coin sequence")
+    _require_int("checkpoint_stride", checkpoint_stride)
     if checkpoint_stride < 1:
         raise ValueError(f"checkpoint_stride must be >= 1, got {checkpoint_stride}")
-    heads = np.array([t is Toss.HEADS for t in tosses], dtype=bool)
-    return _build_record(heads, checkpoint_stride, config=None, generator=None)
+    heads = np.array([t is Toss.HEADS for t in tosses], dtype=np.uint8)
+    return _record([heads], checkpoint_stride)
 
 
 def halfer_statistic(record: SimulationRecord) -> float:
@@ -214,11 +242,7 @@ def state_frequencies(record: SimulationRecord) -> tuple[float, float, float]:
     )
 
 
-def lln_trace(
-    config: SimulationConfig,
-    f: Mapping[Awakening, float],
-    workers: int | None = None,
-) -> LLNTrace:
+def lln_trace(config: SimulationConfig, f: Mapping[Awakening, float]) -> LLNTrace:
     """Running averages of f over the awakening stream of a seeded run.
 
     Uses the same toss stream as :func:`run_simulation` for the same config.
@@ -227,44 +251,23 @@ def lln_trace(
     per-state counts (so a constant f averages to exactly that constant) and
     rounded once to float.
     """
-    missing = [s for s in (Awakening.M_H, Awakening.M_T, Awakening.TU) if s not in f]
+    missing = [s for s in _STATES if s not in f]
     if missing:
         raise ValueError(f"f must be defined on all three states; missing {missing}")
-    f_values = (
-        float(f[Awakening.M_H]),
-        float(f[Awakening.M_T]),
-        float(f[Awakening.TU]),
+    f_values = tuple(float(f[s]) for s in _STATES)
+    f_mh, f_mt, f_tu = (Fraction(v) for v in f_values)
+    q, m, h = _fold(_seeded_blocks(config), config.checkpoint_stride, per_awakening=True)
+    # h Heads Mondays and m - h Tuesdays; the other q - m awakenings are Tails Mondays.
+    counts = zip(q.tolist(), h.tolist(), (q - m).tolist(), (m - h).tolist())
+    averages = tuple(
+        (n, float((mh * f_mh + mt * f_mt + tu * f_tu) / n)) for n, mh, mt, tu in counts
     )
-    heads = _generate_heads(config.seed, config.n_experiments, workers)
-
-    # Awakening stream as state indices 0/1/2: H -> [0], T -> [1, 2].
-    lengths = np.where(heads, 1, 2).astype(np.int64)
-    ends = np.cumsum(lengths)
-    starts = ends - lengths
-    total = int(ends[-1])
-    states = np.full(total, 2, dtype=np.uint8)
-    states[starts[heads]] = 0
-    states[starts[~heads]] = 1
-
-    cum_mh = np.cumsum(states == 0, dtype=np.int64)
-    cum_mt = np.cumsum(states == 1, dtype=np.int64)
-    exact_f = tuple(Fraction(v) for v in f_values)
-    averages = []
-    for n in _checkpoint_marks(total, config.checkpoint_stride):
-        c_mh = int(cum_mh[n - 1])
-        c_mt = int(cum_mt[n - 1])
-        c_tu = n - c_mh - c_mt
-        avg = (c_mh * exact_f[0] + c_mt * exact_f[1] + c_tu * exact_f[2]) / n
-        averages.append((n, float(avg)))
-    return LLNTrace(f_values=f_values, running_averages=tuple(averages))
+    return LLNTrace(f_values=f_values, running_averages=averages)
 
 
 def indicator(state: Awakening) -> dict[Awakening, float]:
     """The function that is 1.0 on ``state`` and 0.0 elsewhere."""
-    return {
-        s: 1.0 if s is state else 0.0
-        for s in (Awakening.M_H, Awakening.M_T, Awakening.TU)
-    }
+    return {s: 1.0 if s is state else 0.0 for s in _STATES}
 
 
 # --- record serialization -------------------------------------------------
@@ -304,29 +307,71 @@ def record_to_json(record: SimulationRecord) -> str:
     return json.dumps(doc, indent=2)
 
 
+_TOTALS = ("heads_experiments", "total_experiments", "heads_awakenings", "total_awakenings")
+_CHECKPOINT_FIELDS = ("experiments", "awakenings", "halfer", "thirder")
+
+
+def _parse_checkpoints(columns: list[list]) -> tuple[Checkpoint, ...]:
+    """Checkpoints from their JSON columns, which must follow from the counts."""
+    exps, wakes, halfer, thirder = columns
+    if not exps:
+        raise ValueError("a record needs at least one checkpoint")
+    if not set(map(type, exps)) | set(map(type, wakes)) <= {int}:
+        raise ValueError("checkpoint experiments and awakenings must be ints")
+    if not set(map(type, halfer)) | set(map(type, thirder)) <= {float}:
+        raise ValueError("checkpoint halfer and thirder must be floats")
+    try:
+        m, a = (np.array(col, dtype=np.int64) for col in (exps, wakes))
+    except OverflowError:
+        raise ValueError("checkpoint counts must fit in 64 bits") from None
+    if m[0] < 1 or m[-1] > 2**53 or np.any(m[1:] <= m[:-1]):
+        raise ValueError("checkpoint experiments must strictly increase within [1, 2**53]")
+    if np.any((a < m) | (a > 2 * m)):
+        raise ValueError("checkpoint awakenings must lie in [m, 2m]")
+    h = 2 * m - a
+    if not (np.array_equal(halfer, h / m) and np.array_equal(thirder, h / a)):
+        raise ValueError("checkpoint halfer/thirder must equal h/m and h/awakenings")
+    return _make_checkpoints(*columns)
+
+
 def record_from_json(text: str) -> SimulationRecord:
+    """Parse :func:`record_to_json` output.
+
+    Raises ValueError for any document that function could not have written:
+    missing or mistyped fields, an unknown generator, or counters and
+    checkpoints that disagree with each other.
+    """
     doc = json.loads(text)
-    config = doc["config"]
-    counts = doc["state_counts"]
-    return SimulationRecord(
-        config=None
-        if config is None
-        else SimulationConfig(
-            seed=config["seed"],
-            n_experiments=config["n_experiments"],
-            checkpoint_stride=config["checkpoint_stride"],
-        ),
-        generator=doc["generator"],
-        heads_experiments=doc["heads_experiments"],
-        total_experiments=doc["total_experiments"],
-        heads_awakenings=doc["heads_awakenings"],
-        total_awakenings=doc["total_awakenings"],
-        state_counts=StateCounts(counts["M_H"], counts["M_T"], counts["Tu"]),
-        checkpoints=tuple(
-            Checkpoint(c["experiments"], c["awakenings"], c["halfer"], c["thirder"])
-            for c in doc["checkpoints"]
-        ),
+    if not isinstance(doc, dict):
+        raise ValueError("a record must be a JSON object")
+    try:
+        config, generator, counts = doc["config"], doc["generator"], doc["state_counts"]
+        totals = [doc[name] for name in _TOTALS]
+        state_counts = StateCounts(counts["M_H"], counts["M_T"], counts["Tu"])
+        if config is not None:
+            config = SimulationConfig(
+                config["seed"], config["n_experiments"], config["checkpoint_stride"]
+            )
+        columns = [[c[key] for c in doc["checkpoints"]] for key in _CHECKPOINT_FIELDS]
+    except (KeyError, TypeError) as exc:
+        raise ValueError(f"malformed record: {exc!r}") from None
+    for name, value in zip(_TOTALS + ("M_H", "M_T", "Tu"), totals + list(state_counts)):
+        _require_int(name, value)
+    if generator != (None if config is None else GENERATOR_NAME):
+        raise ValueError(
+            f"generator must be {GENERATOR_NAME!r} with a config and null without, "
+            f"got {generator!r}"
+        )
+    record = SimulationRecord(
+        config, generator, *totals, state_counts, _parse_checkpoints(columns)
     )
+    if record.checkpoints[-1][:2] != (record.total_experiments, record.total_awakenings):
+        raise ValueError("the last checkpoint must equal the record totals")
+    if config is not None and columns[0] != _checkpoint_marks(
+        config.n_experiments, config.checkpoint_stride
+    ):
+        raise ValueError("checkpoint marks do not match the config")
+    return record
 
 
 def record_to_csv(record: SimulationRecord) -> str:

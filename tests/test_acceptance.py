@@ -37,7 +37,12 @@ from sbchain.sbp_model import (
     project_labels,
     sbp_chain,
 )
-from sbchain.simulation import SimulationConfig, forced_run, run_simulation
+from sbchain.simulation import (
+    SimulationConfig,
+    forced_run,
+    record_to_json,
+    run_simulation,
+)
 
 SEEDS = range(30)
 N_EXPERIMENTS = 10**6
@@ -191,20 +196,20 @@ def test_stream_structure():
 
 
 def test_cli_determinism(tmp_path):
-    base = [
+    argv = [
         sys.executable, "-m", "sbchain",
         "simulate", "--seed", "42", "--n", "1000000",
         "--stride", "100000", "--format", "json",
     ]
 
-    def run(extra, name):
-        proc = subprocess.run(base + extra, capture_output=True, check=True)
+    def run(name):
+        proc = subprocess.run(argv, capture_output=True, check=True)
         out = tmp_path / name
         out.write_bytes(proc.stdout)
         return out
 
-    first = run([], "first.json").read_bytes()
-    second = run([], "second.json").read_bytes()
-    serial = run(["--workers", "1"], "serial.json").read_bytes()
-    threaded = run(["--workers", "4"], "threaded.json").read_bytes()
-    verdict("cli_determinism", first == second == serial == threaded)
+    first = run("first.json").read_bytes()
+    second = run("second.json").read_bytes()
+    config = SimulationConfig(seed=42, n_experiments=10**6, checkpoint_stride=100_000)
+    in_process = (record_to_json(run_simulation(config)) + "\n").encode()
+    verdict("cli_determinism", first == second == in_process)

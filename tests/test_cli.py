@@ -237,12 +237,6 @@ class TestSimulate:
         _, second, _ = run_cli(capsys, *argv)
         assert first == second
 
-    def test_workers_flag_does_not_change_output(self, capsys):
-        base = ("simulate", "--seed", "11", "--n", "200000", "--format", "json")
-        _, serial, _ = run_cli(capsys, *base, "--workers", "1")
-        _, threaded, _ = run_cli(capsys, *base, "--workers", "4")
-        assert serial == threaded
-
     def test_zero_experiments_exits_2(self, capsys):
         code, _, err = run_cli(capsys, "simulate", "--n", "0")
         assert code == EXIT_USAGE

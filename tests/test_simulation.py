@@ -1,7 +1,10 @@
 """Unit tests for the Monte Carlo engine: counting, determinism, serialization."""
 
+import json
+import tracemalloc
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from sbchain.sbp_model import Awakening, EmptyInput
@@ -13,6 +16,7 @@ from sbchain.simulation import (
     SimulationConfig,
     SimulationRecord,
     StateCounts,
+    _block_heads,
     _checkpoint_marks,
     forced_run,
     halfer_statistic,
@@ -44,6 +48,24 @@ class TestConfig:
     def test_zero_stride(self):
         with pytest.raises(ValueError, match="checkpoint_stride"):
             SimulationConfig(seed=0, n_experiments=1, checkpoint_stride=0)
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("seed", True),
+            ("seed", "1"),
+            ("seed", 1.0),
+            ("n_experiments", 10.5),
+            ("n_experiments", False),
+            ("checkpoint_stride", 2.0),
+            ("checkpoint_stride", None),
+        ],
+    )
+    def test_non_int_rejected(self, field, value):
+        fields = {"seed": 0, "n_experiments": 10, "checkpoint_stride": 2}
+        fields[field] = value
+        with pytest.raises(ValueError, match=field):
+            SimulationConfig(**fields)
 
 
 class TestForcedRun:
@@ -87,6 +109,10 @@ class TestForcedRun:
         with pytest.raises(EmptyInput):
             forced_run([])
 
+    def test_float_stride_rejected(self):
+        with pytest.raises(ValueError, match="checkpoint_stride"):
+            forced_run("HT", checkpoint_stride=2.0)
+
     def test_state_frequencies(self):
         freqs = state_frequencies(forced_run("HT"))
         assert freqs == pytest.approx((1 / 3, 1 / 3, 1 / 3))
@@ -109,13 +135,6 @@ class TestDeterminism:
 
     def test_identical_configs_identical_records(self):
         assert run_simulation(self.CFG) == run_simulation(self.CFG)
-
-    def test_worker_count_does_not_change_result(self):
-        # 200k experiments span several 65536-experiment blocks.
-        assert self.CFG.n_experiments > 2 * BLOCK_SIZE
-        assert run_simulation(self.CFG, workers=1) == run_simulation(
-            self.CFG, workers=4
-        )
 
     def test_different_seeds_differ(self):
         other = SimulationConfig(seed=43, n_experiments=200_000, checkpoint_stride=50_000)
@@ -249,3 +268,235 @@ class TestLLNTrace:
             + Fraction(1, 2) * record.state_counts.m_t
         ) / n
         assert trace.running_averages[-1][1] == float(expected)
+
+
+class TestRecordFromJson:
+    GOOD = forced_run("HTTHT", checkpoint_stride=2)
+
+    def doc(self):
+        return json.loads(record_to_json(self.GOOD))
+
+    def load(self, doc):
+        return record_from_json(json.dumps(doc))
+
+    def test_good_document_loads(self):
+        assert self.load(self.doc()) == self.GOOD
+
+    @pytest.mark.parametrize("text", ["{}", "[]", "3", "null", '"record"', "{"])
+    def test_not_a_record(self, text):
+        with pytest.raises(ValueError):
+            record_from_json(text)
+
+    @pytest.mark.parametrize(
+        "field",
+        ["generator", "config", "heads_experiments", "total_awakenings",
+         "state_counts", "checkpoints"],
+    )
+    def test_missing_field(self, field):
+        doc = self.doc()
+        del doc[field]
+        with pytest.raises(ValueError):
+            self.load(doc)
+
+    @pytest.mark.parametrize(
+        "path, value",
+        [
+            pytest.param(("heads_experiments",), "2", id="str-total"),
+            pytest.param(("total_experiments",), 5.0, id="float-total"),
+            pytest.param(("heads_awakenings",), True, id="bool-total"),
+            pytest.param(("state_counts",), [2, 3, 3], id="list-state-counts"),
+            pytest.param(("state_counts", "Tu"), None, id="null-state-count"),
+            pytest.param(("checkpoints",), {}, id="object-checkpoints"),
+            pytest.param(("checkpoints",), [], id="no-checkpoints"),
+            pytest.param(("checkpoints",), "2", id="str-checkpoints"),
+            pytest.param(("checkpoints", 0), [2, 3, 0.5, 1 / 3], id="list-checkpoint"),
+            pytest.param(("checkpoints", 0, "experiments"), 2.0, id="float-mark"),
+            pytest.param(("checkpoints", 0, "awakenings"), True, id="bool-awakenings"),
+            pytest.param(("checkpoints", 0, "halfer"), "0.5", id="str-halfer"),
+            pytest.param(("checkpoints", 0, "thirder"), 0, id="int-thirder"),
+            pytest.param(("checkpoints", 0, "experiments"), 2**64, id="huge-mark"),
+            pytest.param(("config",), [0, 5, 2], id="list-config"),
+            pytest.param(("config",), {"seed": 0, "n_experiments": 5}, id="short-config"),
+            pytest.param(("config",), {"seed": 0, "n_experiments": 5,
+                                       "checkpoint_stride": 2.0}, id="float-stride"),
+        ],
+    )
+    def test_mistyped_field(self, path, value):
+        doc = self.doc()
+        target = doc
+        for key in path[:-1]:
+            target = target[key]
+        target[path[-1]] = value
+        with pytest.raises(ValueError):
+            self.load(doc)
+
+    def test_checkpoint_missing_key(self):
+        doc = self.doc()
+        del doc["checkpoints"][1]["thirder"]
+        with pytest.raises(ValueError):
+            self.load(doc)
+
+    @pytest.mark.parametrize("generator", ["mt19937", GENERATOR_NAME, 7])
+    def test_unknown_or_mismatched_generator(self, generator):
+        # Forced records carry no config, so their generator must be null.
+        doc = self.doc()
+        doc["generator"] = generator
+        with pytest.raises(ValueError, match="generator"):
+            self.load(doc)
+
+    def test_seeded_generator_must_be_philox(self):
+        doc = json.loads(record_to_json(run_simulation(TestSerialization.CFG)))
+        doc["generator"] = "mt19937"
+        with pytest.raises(ValueError, match="generator"):
+            self.load(doc)
+
+    def test_marks_must_strictly_increase(self):
+        doc = self.doc()
+        doc["checkpoints"][1] = dict(doc["checkpoints"][0])
+        with pytest.raises(ValueError, match="strictly increase"):
+            self.load(doc)
+
+    def test_marks_must_match_config(self):
+        doc = json.loads(record_to_json(run_simulation(TestSerialization.CFG)))
+        del doc["checkpoints"][1]
+        with pytest.raises(ValueError, match="config"):
+            self.load(doc)
+
+    @pytest.mark.parametrize("awakenings", [1, 5])
+    def test_awakenings_outside_m_to_2m(self, awakenings):
+        doc = self.doc()
+        doc["checkpoints"][0]["awakenings"] = awakenings
+        with pytest.raises(ValueError, match=r"\[m, 2m\]"):
+            self.load(doc)
+
+    @pytest.mark.parametrize("field", ["halfer", "thirder"])
+    def test_statistics_must_follow_from_counts(self, field):
+        doc = self.doc()
+        doc["checkpoints"][0][field] = 0.9
+        with pytest.raises(ValueError, match="h/m"):
+            self.load(doc)
+
+    def test_last_checkpoint_must_equal_totals(self):
+        doc = self.doc()
+        doc["checkpoints"].pop()
+        with pytest.raises(ValueError, match="totals"):
+            self.load(doc)
+
+    def test_tampered_record(self):
+        # One awakening after two experiments, a wrong halfer and a foreign
+        # generator: every part of it is inconsistent.
+        doc = json.loads(record_to_json(run_simulation(TestSerialization.CFG)))
+        doc["generator"] = "mt19937"
+        doc["checkpoints"][0].update(experiments=2, awakenings=1, halfer=0.9)
+        with pytest.raises(ValueError):
+            self.load(doc)
+
+
+# --- block-boundary oracle --------------------------------------------------
+# The whole-stream algorithm the block fold replaced: concatenate every block,
+# take one cumsum over the run and index it at each mark.
+
+B = BLOCK_SIZE
+
+
+def oracle_heads(seed, n):
+    sizes = [min(B, n - start) for start in range(0, n, B)]
+    blocks = [_block_heads(seed, b, size) for b, size in enumerate(sizes)]
+    return np.concatenate(blocks) == 1
+
+
+def oracle_record(heads, stride, config, generator):
+    n = len(heads)
+    heads_cum = np.cumsum(heads, dtype=np.int64)
+    total = int(heads_cum[-1])
+    checkpoints = []
+    for m in _checkpoint_marks(n, stride):
+        h = int(heads_cum[m - 1])
+        checkpoints.append(Checkpoint(m, 2 * m - h, h / m, h / (2 * m - h)))
+    return SimulationRecord(
+        config=config,
+        generator=generator,
+        heads_experiments=total,
+        total_experiments=n,
+        heads_awakenings=total,
+        total_awakenings=2 * n - total,
+        state_counts=StateCounts(total, n - total, n - total),
+        checkpoints=tuple(checkpoints),
+    )
+
+
+def oracle_trace(heads, stride, f):
+    lengths = np.where(heads, 1, 2).astype(np.int64)
+    ends = np.cumsum(lengths)
+    starts = ends - lengths
+    total = int(ends[-1])
+    states = np.full(total, 2, dtype=np.uint8)
+    states[starts[heads]] = 0
+    states[starts[~heads]] = 1
+    cum_mh = np.cumsum(states == 0, dtype=np.int64)
+    cum_mt = np.cumsum(states == 1, dtype=np.int64)
+    exact_f = [Fraction(f[s]) for s in (Awakening.M_H, Awakening.M_T, Awakening.TU)]
+    averages = []
+    for n in _checkpoint_marks(total, stride):
+        c_mh, c_mt = int(cum_mh[n - 1]), int(cum_mt[n - 1])
+        c_tu = n - c_mh - c_mt
+        avg = (c_mh * exact_f[0] + c_mt * exact_f[1] + c_tu * exact_f[2]) / n
+        averages.append((n, float(avg)))
+    return tuple(averages)
+
+
+SIZES = [1, B - 1, B, B + 1, 3 * B + 5]
+BOUNDARY_CASES = [
+    (n, stride)
+    for n in SIZES
+    for stride in (1, 7, B, 10**6)
+    if not (stride == 1 and n == SIZES[-1])
+]
+NON_INDICATOR = {Awakening.M_H: 0.1, Awakening.M_T: -2.5, Awakening.TU: 1 / 3}
+
+
+@pytest.mark.parametrize("n, stride", BOUNDARY_CASES)
+class TestBlockBoundaryOracle:
+    SEED = 2024
+
+    def test_run_simulation(self, n, stride):
+        config = SimulationConfig(self.SEED, n, stride)
+        expected = oracle_record(
+            oracle_heads(self.SEED, n), stride, config, GENERATOR_NAME
+        )
+        assert run_simulation(config) == expected
+
+    @pytest.mark.parametrize(
+        "f", [indicator(Awakening.M_T), NON_INDICATOR], ids=["indicator", "mixed"]
+    )
+    def test_lln_trace(self, n, stride, f):
+        config = SimulationConfig(self.SEED, n, stride)
+        expected = oracle_trace(oracle_heads(self.SEED, n), stride, f)
+        assert lln_trace(config, f).running_averages == expected
+
+    def test_forced_run(self, n, stride):
+        heads = oracle_heads(self.SEED, n)
+        coins = ["H" if x else "T" for x in heads.tolist()]
+        expected = oracle_record(heads, stride, None, None)
+        assert forced_run(coins, checkpoint_stride=stride) == expected
+
+
+class TestMemory:
+    CFG = SimulationConfig(seed=3, n_experiments=2**21, checkpoint_stride=10**6)
+    LIMIT = 8 * 2**20
+
+    @pytest.mark.parametrize("path", ["run_simulation", "lln_trace"])
+    def test_peak_is_block_sized(self, path):
+        # The whole-stream algorithm peaked at 34 MB (record) and 128 MB
+        # (trace) on this config.
+        run = {
+            "run_simulation": lambda: run_simulation(self.CFG),
+            "lln_trace": lambda: lln_trace(self.CFG, indicator(Awakening.M_H)),
+        }[path]
+        tracemalloc.start()
+        try:
+            run()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < self.LIMIT
