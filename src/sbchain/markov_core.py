@@ -161,22 +161,26 @@ class Chain:
 class ErgodicityReport:
     """Structural summary of a transition matrix.
 
-    ``period`` is defined (and ``aperiodic`` meaningful) only for irreducible
-    matrices; ``stationary`` is present exactly when the matrix is irreducible,
-    since that is what guarantees uniqueness.
+    ``period`` and ``stationary`` are present exactly when the matrix is
+    irreducible: only then is the period the same for every state and the
+    stationary distribution unique.
     """
 
     irreducible: bool
     period: int | None
-    aperiodic: bool
-    ergodic: bool
     stationary: DistributionVector | None
 
     def __post_init__(self):
-        if self.ergodic != (self.irreducible and self.aperiodic):
-            raise MarkovError("ergodic flag must equal irreducible AND aperiodic")
-        if (self.stationary is not None) != self.irreducible:
-            raise MarkovError("stationary distribution present iff irreducible")
+        if not self.irreducible == (self.period is not None) == (self.stationary is not None):
+            raise MarkovError("period and stationary distribution present iff irreducible")
+
+    @property
+    def aperiodic(self) -> bool:
+        return self.period == 1
+
+    @property
+    def ergodic(self) -> bool:
+        return self.irreducible and self.aperiodic
 
 
 class ConvergenceRow(NamedTuple):
@@ -198,7 +202,6 @@ def new_chain(
 
 
 def _mat_mul(a: tuple[tuple[Fraction, ...], ...], b: tuple[tuple[Fraction, ...], ...]):
-    k = len(a)
     cols = list(zip(*b))
     return tuple(
         tuple(sum((x * y for x, y in zip(row, col)), ZERO) for col in cols)
@@ -296,6 +299,12 @@ def period(matrix: TransitionMatrix, state: int) -> int:
     k = matrix.dimension
     if not 0 <= state < k:
         raise ValueError(f"state index {state} out of range for {k} states")
+    return _period(matrix, state)
+
+
+def _period(matrix: TransitionMatrix, state: int) -> int:
+    """:func:`period` of a matrix already known to be irreducible."""
+    k = matrix.dimension
     adj = _adjacency(matrix)
     level = [-1] * k
     level[state] = 0
@@ -317,12 +326,12 @@ def is_aperiodic(matrix: TransitionMatrix) -> bool:
     """True iff the (irreducible) matrix has period 1."""
     if not is_irreducible(matrix):
         raise NotIrreducible("aperiodicity is defined here only for irreducible matrices")
-    return period(matrix, 0) == 1
+    return _period(matrix, 0) == 1
 
 
 def is_ergodic(matrix: TransitionMatrix) -> bool:
     """True iff irreducible and aperiodic."""
-    return is_irreducible(matrix) and is_aperiodic(matrix)
+    return is_irreducible(matrix) and _period(matrix, 0) == 1
 
 
 def stationary_distribution(matrix: TransitionMatrix) -> DistributionVector:
@@ -334,6 +343,11 @@ def stationary_distribution(matrix: TransitionMatrix) -> DistributionVector:
     """
     if not is_irreducible(matrix):
         raise NotIrreducible("stationary distribution is unique only for irreducible matrices")
+    return _stationary(matrix)
+
+
+def _stationary(matrix: TransitionMatrix) -> DistributionVector:
+    """:func:`stationary_distribution` of a matrix already known to be irreducible."""
     k = matrix.dimension
     # Equations indexed by column j: sum_i pi_i (P[i][j] - [i == j]) = 0.
     # The k equations are linearly dependent (rows of P - I sum to zero), so
@@ -344,8 +358,7 @@ def stationary_distribution(matrix: TransitionMatrix) -> DistributionVector:
         for j in range(k - 1)
     ]
     rows.append([ONE] * k + [ONE])
-    solution = _solve_exact(rows)
-    return DistributionVector(solution)
+    return DistributionVector(_solve_exact(rows))
 
 
 def _solve_exact(augmented: list[list[Fraction]]) -> list[Fraction]:
@@ -395,21 +408,10 @@ def expectation(
 
 def ergodicity_report(matrix: TransitionMatrix) -> ErgodicityReport:
     """Full structural summary: irreducibility, period, ergodicity, stationary."""
-    irreducible = is_irreducible(matrix)
-    if irreducible:
-        p = period(matrix, 0)
-        aperiodic = p == 1
-        stationary = stationary_distribution(matrix)
-    else:
-        p = None
-        aperiodic = False
-        stationary = None
+    if not is_irreducible(matrix):
+        return ErgodicityReport(irreducible=False, period=None, stationary=None)
     return ErgodicityReport(
-        irreducible=irreducible,
-        period=p,
-        aperiodic=aperiodic,
-        ergodic=irreducible and aperiodic,
-        stationary=stationary,
+        irreducible=True, period=_period(matrix, 0), stationary=_stationary(matrix)
     )
 
 
@@ -425,7 +427,7 @@ def convergence_report(chain: Chain, n_max: int) -> list[ConvergenceRow]:
         raise MissingInitialDistribution("convergence report needs an initial distribution")
     if n_max < 1:
         raise ValueError(f"n_max must be >= 1, got {n_max}")
-    pi = stationary_distribution(chain.matrix)
+    pi = _stationary(chain.matrix)
     rows = []
     current = chain.initial
     for n in range(1, n_max + 1):

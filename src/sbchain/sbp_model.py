@@ -94,17 +94,19 @@ def exact_distribution(n: int) -> DistributionVector:
     return DistributionVector((monday, monday, tuesday))
 
 
-def _coerce_tosses(coins: Iterable[Toss | str]) -> list[Toss]:
-    tosses = []
-    for c in coins:
-        if isinstance(c, Toss):
-            tosses.append(c)
-        else:
-            try:
-                tosses.append(Toss(str(c).strip().upper()))
-            except ValueError:
-                raise ValueError(f"not a coin toss: {c!r} (expected H or T)") from None
-    return tosses
+def _parse_tokens(enum: type[Enum], tokens: Iterable, error: str) -> list:
+    """Members of ``enum`` whose values the string tokens equal once stripped
+    and uppercased. Any other token raises ValueError with ``error``
+    formatted with its repr.
+    """
+    table = {m.value: m for m in enum}
+    out = []
+    for token in tokens:
+        member = table.get(token.strip().upper()) if isinstance(token, str) else None
+        if member is None:
+            raise ValueError(error.format(token))
+        out.append(member)
+    return out
 
 
 def encode_coins(coins: Iterable[Toss | str]) -> list[Awakening]:
@@ -113,7 +115,7 @@ def encode_coins(coins: Iterable[Toss | str]) -> list[Awakening]:
     Heads contributes (M_H,); Tails contributes (M_T, Tu). The output length
     is #H + 2*#T.
     """
-    tosses = _coerce_tosses(coins)
+    tosses = parse_coin_tokens(coins)
     if not tosses:
         raise EmptyInput("cannot encode an empty coin sequence")
     out: list[Awakening] = []
@@ -192,30 +194,21 @@ def validate_labeled_sequence(seq: Sequence[Awakening]) -> None:
 # Reads are case-insensitive; writes use the canonical uppercase forms.
 
 
-def parse_coin_tokens(tokens: Iterable[str]) -> list[Toss]:
-    return _coerce_tosses(tokens)
+def parse_coin_tokens(tokens: Iterable[Toss | str]) -> list[Toss]:
+    tokens = (t.value if isinstance(t, Toss) else t for t in tokens)
+    return _parse_tokens(Toss, tokens, "not a coin toss: {!r} (expected H or T)")
 
 
 def parse_labeled_tokens(tokens: Iterable[str]) -> list[Awakening]:
-    out = []
-    for t in tokens:
-        try:
-            out.append(Awakening(t.strip().upper()))
-        except ValueError:
-            raise ValueError(
-                f"not an awakening token: {t!r} (expected MH, MT, TU, or ?)"
-            ) from None
-    return out
+    return _parse_tokens(
+        Awakening, tokens, "not an awakening token: {!r} (expected MH, MT, TU, or ?)"
+    )
 
 
 def parse_observed_tokens(tokens: Iterable[str]) -> list[Observation]:
-    out = []
-    for t in tokens:
-        try:
-            out.append(Observation(t.strip().upper()))
-        except ValueError:
-            raise ValueError(f"not an observed-day token: {t!r} (expected M or TU)") from None
-    return out
+    return _parse_tokens(
+        Observation, tokens, "not an observed-day token: {!r} (expected M or TU)"
+    )
 
 
 def format_tokens(seq: Iterable[Toss | Awakening | Observation]) -> str:

@@ -17,16 +17,17 @@ is one block plus the checkpoints for any run length.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from fractions import Fraction
 from itertools import repeat
+from operator import is_
 from typing import Iterable, Iterator, Mapping, NamedTuple
 
 import json
 
 import numpy as np
 
-from .sbp_model import Awakening, EmptyInput, Toss, _coerce_tosses
+from .sbp_model import Awakening, EmptyInput, Toss, parse_coin_tokens
 
 GENERATOR_NAME = "philox4x64"
 BLOCK_SIZE = 1 << 16
@@ -67,41 +68,56 @@ class StateCounts(NamedTuple):
 
 
 class Checkpoint(NamedTuple):
-    """Running statistics after ``experiments`` complete experiments."""
+    """Counts after m = ``experiments`` complete experiments, whose
+    h = 2m - ``awakenings`` Heads give both camps' statistics."""
 
     experiments: int
     awakenings: int
-    halfer: float
-    thirder: float
+
+    @property
+    def halfer(self) -> float:
+        return (2 * self.experiments - self.awakenings) / self.experiments
+
+    @property
+    def thirder(self) -> float:
+        return (2 * self.experiments - self.awakenings) / self.awakenings
 
 
 @dataclass(frozen=True)
 class SimulationRecord:
-    """Counters and checkpoints of one run.
+    """Config and checkpoints of one run; every counter derives from them.
 
-    ``config``/``generator`` are None for forced replays of an explicit coin
-    list, which carry no RNG provenance.
+    The last checkpoint holds the totals. ``config`` and ``generator`` are None
+    for forced replays of an explicit coin list, which carry no RNG provenance.
     """
 
     config: SimulationConfig | None
-    generator: str | None
-    heads_experiments: int
-    total_experiments: int
-    heads_awakenings: int
-    total_awakenings: int
-    state_counts: StateCounts
     checkpoints: tuple[Checkpoint, ...]
 
-    def __post_init__(self):
-        tails = self.total_experiments - self.heads_experiments
-        if self.total_awakenings != self.heads_experiments + 2 * tails:
-            raise ValueError("awakening total inconsistent with experiment counts")
-        if not (
-            self.heads_awakenings == self.heads_experiments == self.state_counts.m_h
-        ):
-            raise ValueError("heads-awakening counters inconsistent")
-        if not (self.state_counts.m_t == self.state_counts.tu == tails):
-            raise ValueError("tails state counts inconsistent")
+    @property
+    def generator(self) -> str | None:
+        return None if self.config is None else GENERATOR_NAME
+
+    @property
+    def total_experiments(self) -> int:
+        return self.checkpoints[-1].experiments
+
+    @property
+    def total_awakenings(self) -> int:
+        return self.checkpoints[-1].awakenings
+
+    @property
+    def heads_experiments(self) -> int:
+        return 2 * self.total_experiments - self.total_awakenings
+
+    # Each Heads experiment has exactly one awakening.
+    heads_awakenings = heads_experiments
+
+    @property
+    def state_counts(self) -> StateCounts:
+        heads = self.heads_experiments
+        tails = self.total_experiments - heads
+        return StateCounts(heads, tails, tails)
 
 
 @dataclass(frozen=True)
@@ -177,30 +193,17 @@ def _fold(
     return np.concatenate(marks), np.concatenate(done), np.concatenate(heads)
 
 
-def _make_checkpoints(*columns: list) -> tuple[Checkpoint, ...]:
+def _make_checkpoints(experiments: list[int], awakenings: list[int]) -> tuple[Checkpoint, ...]:
     # tuple.__new__ skips the Python-level NamedTuple constructor, which
     # dominates at 1e5+ checkpoints.
-    return tuple(map(tuple.__new__, repeat(Checkpoint), zip(*columns)))
+    return tuple(map(tuple.__new__, repeat(Checkpoint), zip(experiments, awakenings)))
 
 
 def _record(
     blocks: Iterable[np.ndarray], stride: int, config: SimulationConfig | None = None
 ) -> SimulationRecord:
     _, m, h = _fold(blocks, stride)
-    a = 2 * m - h
-    n, heads = int(m[-1]), int(h[-1])
-    return SimulationRecord(
-        config=config,
-        generator=None if config is None else GENERATOR_NAME,
-        heads_experiments=heads,
-        total_experiments=n,
-        heads_awakenings=heads,
-        total_awakenings=int(a[-1]),
-        state_counts=StateCounts(heads, n - heads, n - heads),
-        checkpoints=_make_checkpoints(
-            m.tolist(), a.tolist(), (h / m).tolist(), (h / a).tolist()
-        ),
-    )
+    return SimulationRecord(config, _make_checkpoints(m.tolist(), (2 * m - h).tolist()))
 
 
 def run_simulation(config: SimulationConfig) -> SimulationRecord:
@@ -212,13 +215,13 @@ def forced_run(
     coins: Iterable[Toss | str], checkpoint_stride: int = 1
 ) -> SimulationRecord:
     """Replay an explicit coin sequence through the same counting pipeline."""
-    tosses = _coerce_tosses(coins)
+    tosses = parse_coin_tokens(coins)
     if not tosses:
         raise EmptyInput("cannot run a simulation on an empty coin sequence")
     _require_int("checkpoint_stride", checkpoint_stride)
     if checkpoint_stride < 1:
         raise ValueError(f"checkpoint_stride must be >= 1, got {checkpoint_stride}")
-    heads = np.array([t is Toss.HEADS for t in tosses], dtype=np.uint8)
+    heads = np.fromiter(map(is_, tosses, repeat(Toss.HEADS)), np.uint8, len(tosses))
     return _record([heads], checkpoint_stride)
 
 
@@ -275,39 +278,29 @@ def indicator(state: Awakening) -> dict[Awakening, float]:
 # CSV view renders one checkpoint per row with 6 fractional digits.
 
 
-def record_to_json(record: SimulationRecord) -> str:
-    doc = {
+def _header(record: SimulationRecord) -> dict:
+    """Every JSON field of ``record`` except its checkpoints, in schema order."""
+    counts = record.state_counts
+    return {
         "generator": record.generator,
-        "config": None
-        if record.config is None
-        else {
-            "seed": record.config.seed,
-            "n_experiments": record.config.n_experiments,
-            "checkpoint_stride": record.config.checkpoint_stride,
-        },
+        "config": None if record.config is None else asdict(record.config),
         "heads_experiments": record.heads_experiments,
         "total_experiments": record.total_experiments,
         "heads_awakenings": record.heads_awakenings,
         "total_awakenings": record.total_awakenings,
-        "state_counts": {
-            "M_H": record.state_counts.m_h,
-            "M_T": record.state_counts.m_t,
-            "Tu": record.state_counts.tu,
-        },
-        "checkpoints": [
-            {
-                "experiments": c.experiments,
-                "awakenings": c.awakenings,
-                "halfer": c.halfer,
-                "thirder": c.thirder,
-            }
-            for c in record.checkpoints
-        ],
+        "state_counts": {"M_H": counts.m_h, "M_T": counts.m_t, "Tu": counts.tu},
     }
-    return json.dumps(doc, indent=2)
 
 
-_TOTALS = ("heads_experiments", "total_experiments", "heads_awakenings", "total_awakenings")
+def record_to_json(record: SimulationRecord) -> str:
+    checkpoints = [
+        {"experiments": m, "awakenings": a, "halfer": h / m, "thirder": h / a}
+        for m, a in record.checkpoints
+        for h in (2 * m - a,)
+    ]
+    return json.dumps({**_header(record), "checkpoints": checkpoints}, indent=2)
+
+
 _CHECKPOINT_FIELDS = ("experiments", "awakenings", "halfer", "thirder")
 
 
@@ -331,56 +324,61 @@ def _parse_checkpoints(columns: list[list]) -> tuple[Checkpoint, ...]:
     h = 2 * m - a
     if not (np.array_equal(halfer, h / m) and np.array_equal(thirder, h / a)):
         raise ValueError("checkpoint halfer/thirder must equal h/m and h/awakenings")
-    return _make_checkpoints(*columns)
+    return _make_checkpoints(exps, wakes)
 
 
 def record_from_json(text: str) -> SimulationRecord:
     """Parse :func:`record_to_json` output.
 
     Raises ValueError for any document that function could not have written:
-    missing or mistyped fields, an unknown generator, or counters and
-    checkpoints that disagree with each other.
+    missing, extra or mistyped fields, checkpoints whose statistics do not
+    follow from their counts or whose marks do not match the config, and
+    header fields other than those the config and checkpoints imply.
     """
     doc = json.loads(text)
     if not isinstance(doc, dict):
         raise ValueError("a record must be a JSON object")
     try:
-        config, generator, counts = doc["config"], doc["generator"], doc["state_counts"]
-        totals = [doc[name] for name in _TOTALS]
-        state_counts = StateCounts(counts["M_H"], counts["M_T"], counts["Tu"])
+        config = doc["config"]
         if config is not None:
             config = SimulationConfig(
                 config["seed"], config["n_experiments"], config["checkpoint_stride"]
             )
-        columns = [[c[key] for c in doc["checkpoints"]] for key in _CHECKPOINT_FIELDS]
+        items = doc["checkpoints"]
+        columns = [[c[key] for c in items] for key in _CHECKPOINT_FIELDS]
     except (KeyError, TypeError) as exc:
         raise ValueError(f"malformed record: {exc!r}") from None
-    for name, value in zip(_TOTALS + ("M_H", "M_T", "Tu"), totals + list(state_counts)):
-        _require_int(name, value)
-    if generator != (None if config is None else GENERATOR_NAME):
-        raise ValueError(
-            f"generator must be {GENERATOR_NAME!r} with a config and null without, "
-            f"got {generator!r}"
-        )
-    record = SimulationRecord(
-        config, generator, *totals, state_counts, _parse_checkpoints(columns)
-    )
-    if record.checkpoints[-1][:2] != (record.total_experiments, record.total_awakenings):
-        raise ValueError("the last checkpoint must equal the record totals")
+    # Every item yielded all four keys, so it is an object; a size of four
+    # leaves no room for another key.
+    if any(len(c) != len(_CHECKPOINT_FIELDS) for c in items):
+        raise ValueError(f"each checkpoint must have exactly the keys {_CHECKPOINT_FIELDS}")
+    record = SimulationRecord(config, _parse_checkpoints(columns))
     if config is not None and columns[0] != _checkpoint_marks(
         config.n_experiments, config.checkpoint_stride
     ):
         raise ValueError("checkpoint marks do not match the config")
+    header = _header(record)
+    if doc.keys() != {*header, "checkpoints"}:
+        raise ValueError(
+            f"a record has exactly the fields {[*header, 'checkpoints']}, got {list(doc)}"
+        )
+    for key, expected in header.items():
+        # Compared as JSON text so that 5.0 or true cannot stand in for an int.
+        if json.dumps(doc[key], sort_keys=True) != json.dumps(expected, sort_keys=True):
+            raise ValueError(
+                f"{key} must be {expected!r}, derived from the config and the "
+                f"checkpoint totals; got {doc[key]!r}"
+            )
     return record
 
 
 def record_to_csv(record: SimulationRecord) -> str:
     lines = ["experiments,awakenings,halfer,thirder,freq_MH,freq_MT,freq_TU"]
-    for c in record.checkpoints:
-        heads = 2 * c.experiments - c.awakenings
-        tails = c.experiments - heads
+    for m, a in record.checkpoints:
+        heads = 2 * m - a
+        tails = m - heads
         lines.append(
-            f"{c.experiments},{c.awakenings},{c.halfer:.6f},{c.thirder:.6f},"
-            f"{heads / c.awakenings:.6f},{tails / c.awakenings:.6f},{tails / c.awakenings:.6f}"
+            f"{m},{a},{heads / m:.6f},{heads / a:.6f},"
+            f"{heads / a:.6f},{tails / a:.6f},{tails / a:.6f}"
         )
     return "\n".join(lines) + "\n"

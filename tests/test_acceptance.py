@@ -10,13 +10,16 @@ use 30 fixed seeds at a million experiments each with a 0.002 tolerance,
 four binomial standard errors for the per-experiment frequency.
 """
 
+import os
 import random
 import subprocess
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import sbchain
 from sbchain.markov_core import (
     DistributionVector,
     TransitionMatrix,
@@ -202,8 +205,13 @@ def test_cli_determinism(tmp_path):
         "--stride", "100000", "--format", "json",
     ]
 
+    # The CLI must import the same sbchain as this process, installed or not.
+    src = str(Path(sbchain.__file__).parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
+
     def run(name):
-        proc = subprocess.run(argv, capture_output=True, check=True)
+        proc = subprocess.run(argv, capture_output=True, check=True, env=env)
         out = tmp_path / name
         out.write_bytes(proc.stdout)
         return out

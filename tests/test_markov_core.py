@@ -10,12 +10,15 @@ from math import gcd
 
 import pytest
 
+from sbchain import markov_core
 from sbchain.markov_core import (
     Chain,
     DimensionMismatch,
     DistributionVector,
     DuplicateState,
     EmptyStateSpace,
+    ErgodicityReport,
+    MarkovError,
     MissingInitialDistribution,
     NonStochasticRow,
     NotErgodic,
@@ -349,6 +352,23 @@ class TestErgodicityReport:
         assert not report.irreducible and not report.ergodic
         assert report.period is None
         assert report.stationary is None
+
+    def test_report_needs_period_and_stationary_iff_irreducible(self):
+        with pytest.raises(MarkovError, match="iff irreducible"):
+            ErgodicityReport(irreducible=True, period=1, stationary=None)
+        with pytest.raises(MarkovError, match="iff irreducible"):
+            ErgodicityReport(irreducible=False, period=2, stationary=None)
+
+    def test_irreducibility_decided_once(self, monkeypatch):
+        calls = []
+        check = markov_core.is_irreducible
+        monkeypatch.setattr(
+            markov_core, "is_irreducible", lambda matrix: calls.append(matrix) or check(matrix)
+        )
+        ergodicity_report(TransitionMatrix(SBP_GRID))
+        assert len(calls) == 1
+        convergence_report(sbp_chain(), 3)
+        assert len(calls) == 2
 
 
 class TestConvergenceReport:

@@ -1,10 +1,16 @@
 """Property-based tests over random chains, coin sequences, and runs."""
 
+import contextlib
+import io
+import json
+import math
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sbchain import cli
 from sbchain.markov_core import (
     DistributionVector,
     TransitionMatrix,
@@ -24,9 +30,12 @@ from sbchain.sbp_model import (
     validate_labeled_sequence,
 )
 from sbchain.simulation import (
+    GENERATOR_NAME,
     SimulationConfig,
     forced_run,
     lln_trace,
+    record_from_json,
+    record_to_json,
     run_simulation,
     state_frequencies,
 )
@@ -206,3 +215,132 @@ class TestRunProperties:
         f = {Awakening.M_H: c, Awakening.M_T: c, Awakening.TU: c}
         trace = lln_trace(cfg, f)
         assert all(avg == c for _, avg in trace.running_averages)
+
+
+# --- record boundary ----------------------------------------------------------
+
+record_coins = st.lists(st.sampled_from("HT"), min_size=1, max_size=200)
+record_strides = st.integers(1, 50)
+
+
+def leaf_paths(node, path=()):
+    """Paths to every scalar in a parsed JSON document."""
+    if isinstance(node, dict):
+        for key, value in node.items():
+            yield from leaf_paths(value, path + (key,))
+    elif isinstance(node, list):
+        for i, value in enumerate(node):
+            yield from leaf_paths(value, path + (i,))
+    else:
+        yield path
+
+
+class TestRecordBoundary:
+    @given(record_coins, record_strides)
+    def test_json_round_trips_both_ways(self, coins, stride):
+        record = forced_run(coins, checkpoint_stride=stride)
+        text = record_to_json(record)
+        assert record_from_json(text) == record
+        assert record_to_json(record_from_json(text)) == text
+
+    @given(st.data(), record_coins, record_strides)
+    def test_any_changed_leaf_is_rejected(self, data, coins, stride):
+        # Every leaf of a forced record follows from its coins, so no single
+        # changed value describes a record the writer could have produced.
+        doc = json.loads(record_to_json(forced_run(coins, checkpoint_stride=stride)))
+        *parents, last = data.draw(st.sampled_from(list(leaf_paths(doc))))
+        target = doc
+        for key in parents:
+            target = target[key]
+        value = target[last]
+        up = data.draw(st.booleans())
+        if isinstance(value, int):
+            target[last] = value + (1 if up else -1)
+        elif isinstance(value, float):
+            target[last] = math.nextafter(value, math.inf if up else -math.inf)
+        else:
+            target[last] = None if isinstance(value, str) else GENERATOR_NAME
+        with pytest.raises(ValueError):
+            record_from_json(json.dumps(doc))
+
+
+# --- CLI boundary ---------------------------------------------------------------
+# Numbers stay small enough that every call is fast: --n only reaches 10^4
+# under simulate, since argparse reads --n as --n-max under exact.
+
+CHAIN_SPECS = {
+    "periodic.json": {"states": ["a", "b"], "matrix": [[0, 1], [1, 0]]},
+    "reducible.json": {"states": ["a", "b"], "matrix": [[1, 0], [0, 1]], "initial": [1, 0]},
+    "nonstochastic.json": {"states": ["a", "b"], "matrix": [["1/2", "1/3"], [0, 1]]},
+    "float.json": {"states": ["a"], "matrix": [[1.0]]},
+}
+COMMAND_FLAGS = {
+    "analyze": ("--chain", "--format"),
+    "exact": ("--n-max", "--format"),
+    "simulate": ("--n", "--seed", "--stride", "--format"),
+    "convert": ("--complete",),
+}
+MODE_SYMBOLS = {"encode": ("H", "t"), "project": ("MH", "mt", " TU", "?"), "decode": ("M", "tu")}
+SYMBOLS = tuple(symbol for symbols in MODE_SYMBOLS.values() for symbol in symbols) + ("x",)
+no_digits = st.text(max_size=6).filter(lambda s: not any(c.isdigit() for c in s))
+noise = st.one_of(
+    st.sampled_from([*COMMAND_FLAGS, *SYMBOLS, "--n", "--seed", "-h"]),
+    st.integers(-3, 50).map(str),
+    no_digits,
+)
+
+
+@pytest.fixture(scope="module")
+def chain_paths(tmp_path_factory):
+    root = tmp_path_factory.mktemp("chains")
+    for name, spec in CHAIN_SPECS.items():
+        (root / name).write_text(json.dumps(spec))
+    (root / "truncated.json").write_text('{"states": [')
+    return sorted(str(path) for path in root.iterdir())
+
+
+def mostly(usual, rare):
+    """Draws from ``usual`` nine times in ten, else from ``rare``."""
+    return st.integers(0, 9).flatmap(lambda i: rare if i == 0 else usual)
+
+
+@st.composite
+def argvs(draw, chain_paths):
+    """Mostly a command with most of its flags; sometimes stray flags and tokens."""
+    command = draw(mostly(st.sampled_from(sorted(COMMAND_FLAGS)), noise))
+    values = {
+        "--n": st.integers(-2, 10**4 if command == "simulate" else 50),
+        "--n-max": st.integers(-2, 50),
+        "--seed": st.integers(-2, 2**64 + 2),
+        "--stride": st.integers(-2, 10**4),
+        "--format": mostly(st.sampled_from(["text", "json", "csv"]), no_digits),
+        "--chain": mostly(st.sampled_from(["sbp", *chain_paths]), no_digits),
+    }
+    argv = [command]
+    if command == "convert":
+        mode = draw(mostly(st.sampled_from(sorted(MODE_SYMBOLS)), noise))
+        symbols = st.sampled_from(MODE_SYMBOLS.get(mode, SYMBOLS))
+        argv += [mode, *draw(st.lists(mostly(symbols, st.sampled_from(SYMBOLS)), max_size=6))]
+    usually = mostly(st.just(True), st.booleans())
+    flags = [flag for flag in COMMAND_FLAGS.get(command, ()) if draw(usually)]
+    flags += draw(mostly(st.just([]), st.lists(st.sampled_from(sorted(values)), max_size=2)))
+    for flag in flags:
+        argv.append(flag)
+        if flag in values:
+            argv.append(str(draw(values[flag])))
+    return argv + draw(mostly(st.just([]), st.lists(noise, max_size=2)))
+
+
+class TestCliBoundary:
+    @given(st.data())
+    @settings(deadline=None)
+    def test_exit_code_and_no_traceback(self, chain_paths, data):
+        argv = data.draw(argvs(chain_paths))
+        stdout, stderr = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+            try:
+                code = cli.main(argv)
+            except SystemExit as exc:
+                code = exc.code
+        assert code in {0, 2, 3, 4}, (argv, stderr.getvalue())
+        assert "Traceback" not in stderr.getvalue()

@@ -212,6 +212,24 @@ class TestTokens:
         with pytest.raises(ValueError, match="not an observed-day token"):
             parse_observed_tokens(["MH"])
 
+    def test_parse_coins_strips_and_passes_members(self):
+        assert parse_coin_tokens([" h\n", Toss.TAILS]) == [Toss.HEADS, Toss.TAILS]
+
+    @pytest.mark.parametrize(
+        "parse, token, message",
+        [
+            (parse_coin_tokens, 1, "not a coin toss"),
+            (parse_coin_tokens, MH, "not a coin toss"),
+            (parse_labeled_tokens, 1, "not an awakening token"),
+            (parse_labeled_tokens, ["MH"], "not an awakening token"),
+            (parse_labeled_tokens, MH, "not an awakening token"),
+            (parse_observed_tokens, None, "not an observed-day token"),
+        ],
+    )
+    def test_non_string_token_rejected(self, parse, token, message):
+        with pytest.raises(ValueError, match=message):
+            parse([token])
+
     def test_format_uppercase(self):
         assert format_tokens([MH, MT, TU]) == "MH MT TU"
         assert format_tokens([Toss.HEADS, Toss.TAILS]) == "H T"

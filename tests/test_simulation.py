@@ -1,5 +1,6 @@
 """Unit tests for the Monte Carlo engine: counting, determinism, serialization."""
 
+import dataclasses
 import json
 import tracemalloc
 from fractions import Fraction
@@ -100,10 +101,9 @@ class TestForcedRun:
 
     def test_checkpoint_per_experiment(self):
         record = forced_run(["T", "H"], checkpoint_stride=1)
-        assert record.checkpoints == (
-            Checkpoint(1, 2, 0.0, 0.0),
-            Checkpoint(2, 3, 0.5, 1 / 3),
-        )
+        assert record.checkpoints == (Checkpoint(1, 2), Checkpoint(2, 3))
+        assert [c.halfer for c in record.checkpoints] == [0.0, 0.5]
+        assert [c.thirder for c in record.checkpoints] == [0.0, 1 / 3]
 
     def test_empty_rejected(self):
         with pytest.raises(EmptyInput):
@@ -157,45 +157,23 @@ class TestDeterminism:
         assert last.thirder == thirder_statistic(record)
 
 
-class TestRecordValidation:
-    def test_awakening_total_mismatch(self):
-        with pytest.raises(ValueError, match="awakening total"):
-            SimulationRecord(
-                config=None,
-                generator=None,
-                heads_experiments=1,
-                total_experiments=2,
-                heads_awakenings=1,
-                total_awakenings=4,
-                state_counts=StateCounts(1, 1, 1),
-                checkpoints=(),
-            )
+class TestRecordShape:
+    def test_only_underived_values_are_stored(self):
+        assert [f.name for f in dataclasses.fields(SimulationRecord)] == [
+            "config",
+            "checkpoints",
+        ]
+        assert Checkpoint._fields == ("experiments", "awakenings")
+        assert not hasattr(SimulationRecord, "__post_init__")
 
-    def test_heads_counter_mismatch(self):
-        with pytest.raises(ValueError, match="heads-awakening"):
-            SimulationRecord(
-                config=None,
-                generator=None,
-                heads_experiments=1,
-                total_experiments=2,
-                heads_awakenings=2,
-                total_awakenings=3,
-                state_counts=StateCounts(1, 1, 1),
-                checkpoints=(),
-            )
-
-    def test_tails_state_count_mismatch(self):
-        with pytest.raises(ValueError, match="tails state counts"):
-            SimulationRecord(
-                config=None,
-                generator=None,
-                heads_experiments=1,
-                total_experiments=2,
-                heads_awakenings=1,
-                total_awakenings=3,
-                state_counts=StateCounts(1, 2, 0),
-                checkpoints=(),
-            )
+    def test_counters_follow_from_last_checkpoint(self):
+        record = SimulationRecord(None, (Checkpoint(2, 3), Checkpoint(5, 7)))
+        assert record.generator is None
+        assert (record.total_experiments, record.total_awakenings) == (5, 7)
+        assert record.heads_experiments == record.heads_awakenings == 3
+        assert record.state_counts == StateCounts(3, 2, 2)
+        config = SimulationConfig(seed=0, n_experiments=1, checkpoint_stride=1)
+        assert SimulationRecord(config, (Checkpoint(1, 1),)).generator == GENERATOR_NAME
 
 
 class TestSerialization:
@@ -276,6 +254,9 @@ class TestRecordFromJson:
     def doc(self):
         return json.loads(record_to_json(self.GOOD))
 
+    def seeded_doc(self):
+        return json.loads(record_to_json(run_simulation(TestSerialization.CFG)))
+
     def load(self, doc):
         return record_from_json(json.dumps(doc))
 
@@ -319,10 +300,15 @@ class TestRecordFromJson:
             pytest.param(("config",), {"seed": 0, "n_experiments": 5}, id="short-config"),
             pytest.param(("config",), {"seed": 0, "n_experiments": 5,
                                        "checkpoint_stride": 2.0}, id="float-stride"),
+            pytest.param(("bogus",), 1, id="extra-field"),
+            pytest.param(("config", "bogus"), 1, id="extra-config-key"),
+            pytest.param(("checkpoints", 0, "bogus"), 1, id="extra-checkpoint-key"),
         ],
     )
     def test_mistyped_field(self, path, value):
-        doc = self.doc()
+        # A forced record has no config to mistype, so config paths edit a
+        # seeded one.
+        doc = self.seeded_doc() if path[0] == "config" else self.doc()
         target = doc
         for key in path[:-1]:
             target = target[key]
@@ -345,7 +331,7 @@ class TestRecordFromJson:
             self.load(doc)
 
     def test_seeded_generator_must_be_philox(self):
-        doc = json.loads(record_to_json(run_simulation(TestSerialization.CFG)))
+        doc = self.seeded_doc()
         doc["generator"] = "mt19937"
         with pytest.raises(ValueError, match="generator"):
             self.load(doc)
@@ -357,7 +343,7 @@ class TestRecordFromJson:
             self.load(doc)
 
     def test_marks_must_match_config(self):
-        doc = json.loads(record_to_json(run_simulation(TestSerialization.CFG)))
+        doc = self.seeded_doc()
         del doc["checkpoints"][1]
         with pytest.raises(ValueError, match="config"):
             self.load(doc)
@@ -385,7 +371,7 @@ class TestRecordFromJson:
     def test_tampered_record(self):
         # One awakening after two experiments, a wrong halfer and a foreign
         # generator: every part of it is inconsistent.
-        doc = json.loads(record_to_json(run_simulation(TestSerialization.CFG)))
+        doc = self.seeded_doc()
         doc["generator"] = "mt19937"
         doc["checkpoints"][0].update(experiments=2, awakenings=1, halfer=0.9)
         with pytest.raises(ValueError):
@@ -405,24 +391,22 @@ def oracle_heads(seed, n):
     return np.concatenate(blocks) == 1
 
 
-def oracle_record(heads, stride, config, generator):
+def assert_matches_oracle(record, heads, stride, config):
+    """Every value ``record`` reports equals the one counted from ``heads``."""
     n = len(heads)
     heads_cum = np.cumsum(heads, dtype=np.int64)
     total = int(heads_cum[-1])
-    checkpoints = []
+    assert record.config == config
+    assert record.generator == (None if config is None else GENERATOR_NAME)
+    assert (record.total_experiments, record.total_awakenings) == (n, 2 * n - total)
+    assert record.heads_experiments == record.heads_awakenings == total
+    assert record.state_counts == StateCounts(total, n - total, n - total)
+    expected = []
     for m in _checkpoint_marks(n, stride):
         h = int(heads_cum[m - 1])
-        checkpoints.append(Checkpoint(m, 2 * m - h, h / m, h / (2 * m - h)))
-    return SimulationRecord(
-        config=config,
-        generator=generator,
-        heads_experiments=total,
-        total_experiments=n,
-        heads_awakenings=total,
-        total_awakenings=2 * n - total,
-        state_counts=StateCounts(total, n - total, n - total),
-        checkpoints=tuple(checkpoints),
-    )
+        expected.append((m, 2 * m - h, h / m, h / (2 * m - h)))
+    observed = [(c.experiments, c.awakenings, c.halfer, c.thirder) for c in record.checkpoints]
+    assert observed == expected
 
 
 def oracle_trace(heads, stride, f):
@@ -461,10 +445,9 @@ class TestBlockBoundaryOracle:
 
     def test_run_simulation(self, n, stride):
         config = SimulationConfig(self.SEED, n, stride)
-        expected = oracle_record(
-            oracle_heads(self.SEED, n), stride, config, GENERATOR_NAME
+        assert_matches_oracle(
+            run_simulation(config), oracle_heads(self.SEED, n), stride, config
         )
-        assert run_simulation(config) == expected
 
     @pytest.mark.parametrize(
         "f", [indicator(Awakening.M_T), NON_INDICATOR], ids=["indicator", "mixed"]
@@ -477,8 +460,7 @@ class TestBlockBoundaryOracle:
     def test_forced_run(self, n, stride):
         heads = oracle_heads(self.SEED, n)
         coins = ["H" if x else "T" for x in heads.tolist()]
-        expected = oracle_record(heads, stride, None, None)
-        assert forced_run(coins, checkpoint_stride=stride) == expected
+        assert_matches_oracle(forced_run(coins, checkpoint_stride=stride), heads, stride, None)
 
 
 class TestMemory:
