@@ -38,9 +38,10 @@ class ChainSpecError(ValueError):
 
 
 def _spec_rational(value, where: str) -> Fraction:
-    if isinstance(value, bool) or isinstance(value, float):
+    if isinstance(value, (bool, float)):
+        kind = "booleans" if isinstance(value, bool) else "floats"
         raise ChainSpecError(
-            f"{where}: floats are not accepted; write rationals as strings like \"1/2\""
+            f"{where}: {kind} are not accepted; write rationals as strings like \"1/2\""
         )
     if isinstance(value, int):
         return Fraction(value)

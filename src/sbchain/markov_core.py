@@ -5,6 +5,11 @@ n-step distributions, irreducibility/periodicity/ergodicity checks, the
 stationary-distribution solver, and convergence diagnostics are all exact.
 There is no floating point, and therefore no tolerance, anywhere in this
 module. All types are immutable values; all operations are pure functions.
+
+Each decision has one path: ``_stochastic`` checks every row and
+distribution, ``_times_power`` does all binary powering (squaring only while
+bits of n remain; n-step distributions power the initial row, never P^(n-1)),
+and ``_structure`` decides irreducibility and the period in one pass.
 """
 
 from __future__ import annotations
@@ -15,7 +20,7 @@ from fractions import Fraction
 from math import gcd
 from typing import NamedTuple, Sequence
 
-from .rationals import as_exact
+from .rationals import as_exact, require_int
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -77,6 +82,21 @@ class StateSpace:
             raise KeyError(f"unknown state label: {label!r}") from None
 
 
+def _stochastic(values: Sequence[Fraction | int | str], name: str) -> tuple[Fraction, ...]:
+    """``values`` as exact Fractions, checked to lie in [0, 1] and sum to 1.
+
+    ``name`` ("row 2", "distribution") leads every error message.
+    """
+    converted = tuple(as_exact(v) for v in values)
+    for j, v in enumerate(converted):
+        if v < 0 or v > 1:
+            raise NonStochasticRow(f"{name}, entry {j}: {v} outside [0, 1]")
+    total = sum(converted, ZERO)
+    if total != 1:
+        raise NonStochasticRow(f"{name} sums to {total}, expected 1")
+    return converted
+
+
 @dataclass(frozen=True)
 class TransitionMatrix:
     """Square row-stochastic matrix with exact rational entries."""
@@ -84,24 +104,17 @@ class TransitionMatrix:
     rows: tuple[tuple[Fraction, ...], ...]
 
     def __init__(self, rows: Sequence[Sequence[Fraction | int | str]]):
-        converted = tuple(tuple(as_exact(entry) for entry in row) for row in rows)
-        object.__setattr__(self, "rows", converted)
-        k = len(converted)
+        k = len(rows)
         if k == 0:
             raise EmptyStateSpace("transition matrix must be at least 1x1")
-        for i, row in enumerate(converted):
+        checked = []
+        for i, row in enumerate(rows):
             if len(row) != k:
                 raise DimensionMismatch(
                     f"row {i} has {len(row)} entries, expected {k} (matrix must be square)"
                 )
-            for j, entry in enumerate(row):
-                if entry < 0 or entry > 1:
-                    raise NonStochasticRow(
-                        f"row {i}, column {j}: entry {entry} outside [0, 1]"
-                    )
-            total = sum(row, ZERO)
-            if total != 1:
-                raise NonStochasticRow(f"row {i} sums to {total}, expected 1")
+            checked.append(_stochastic(row, f"row {i}"))
+        object.__setattr__(self, "rows", tuple(checked))
 
     @property
     def dimension(self) -> int:
@@ -118,16 +131,9 @@ class DistributionVector:
     weights: tuple[Fraction, ...]
 
     def __init__(self, weights: Sequence[Fraction | int | str]):
-        converted = tuple(as_exact(w) for w in weights)
-        object.__setattr__(self, "weights", converted)
-        if not converted:
+        if len(weights) == 0:
             raise EmptyStateSpace("distribution must have at least one weight")
-        for i, w in enumerate(converted):
-            if w < 0 or w > 1:
-                raise NonStochasticRow(f"weight {i}: {w} outside [0, 1]")
-        total = sum(converted, ZERO)
-        if total != 1:
-            raise NonStochasticRow(f"weights sum to {total}, expected 1")
+        object.__setattr__(self, "weights", _stochastic(weights, "distribution"))
 
     def __len__(self) -> int:
         return len(self.weights)
@@ -209,129 +215,114 @@ def _mat_mul(a: tuple[tuple[Fraction, ...], ...], b: tuple[tuple[Fraction, ...],
     )
 
 
-def _vec_mat(v: tuple[Fraction, ...], m: tuple[tuple[Fraction, ...], ...]):
-    cols = list(zip(*m))
-    return tuple(sum((x * y for x, y in zip(v, col)), ZERO) for col in cols)
+def _times_power(rows, base: tuple[tuple[Fraction, ...], ...], n: int):
+    """``rows`` times ``base`` to the n, with None standing for the identity.
 
-
-def _identity(k: int) -> tuple[tuple[Fraction, ...], ...]:
-    return tuple(
-        tuple(ONE if i == j else ZERO for j in range(k)) for i in range(k)
-    )
+    Binary powering from the low bit: the base is squared only while higher
+    bits of n remain, so every product computed is used.
+    """
+    while True:
+        if n & 1:
+            rows = base if rows is None else _mat_mul(rows, base)
+        n >>= 1
+        if not n:
+            return rows
+        base = _mat_mul(base, base)
 
 
 def matrix_power(matrix: TransitionMatrix, n: int) -> TransitionMatrix:
     """Exact n-th matrix power; n = 0 gives the identity."""
+    require_int("n", n)
     if n < 0:
         raise ValueError(f"matrix power needs n >= 0, got {n}")
-    result = _identity(matrix.dimension)
-    base = matrix.rows
-    # Binary exponentiation; every intermediate stays exactly row-stochastic.
-    while n > 0:
-        if n & 1:
-            result = _mat_mul(result, base)
-        base = _mat_mul(base, base)
-        n >>= 1
-    return TransitionMatrix(result)
+    k = matrix.dimension
+    if n == 0:
+        return TransitionMatrix([[ONE if i == j else ZERO for j in range(k)] for i in range(k)])
+    return TransitionMatrix(_times_power(None, matrix.rows, n))
 
 
 def n_step_distribution(chain: Chain, n: int) -> DistributionVector:
-    """Distribution after n steps: initial times the (n-1)-th matrix power."""
+    """Distribution after n steps: initial times the (n-1)-th matrix power.
+
+    The initial row is carried through the powering as a 1 x k matrix, so
+    P^(n-1) itself is never formed.
+    """
     if chain.initial is None:
         raise MissingInitialDistribution(
             "n-step distribution needs a chain with an initial distribution"
         )
+    require_int("n", n)
     if n < 1:
         raise ValueError(f"step index must be >= 1, got {n}")
-    weights = _vec_mat(chain.initial.weights, matrix_power(chain.matrix, n - 1).rows)
+    (weights,) = _times_power((chain.initial.weights,), chain.matrix.rows, n - 1)
     return DistributionVector(weights)
 
 
-def _adjacency(matrix: TransitionMatrix, reverse: bool = False) -> list[list[int]]:
+def _structure(matrix: TransitionMatrix) -> int | None:
+    """The period of ``matrix``, or None if it is reducible.
+
+    Breadth-first passes from state 0, backward and then forward, decide
+    strong connectivity of the positive-entry digraph: for a stochastic
+    matrix, every pair of states then communicates in some positive number
+    of steps. The period is the gcd of level(u) + 1 - level(v) over the
+    edges (u, v), with the forward levels; for a strongly connected graph
+    that is the gcd of the closed walk lengths through any state.
+    """
     k = matrix.dimension
-    adj: list[list[int]] = [[] for _ in range(k)]
-    for i in range(k):
-        for j in range(k):
-            if matrix.rows[i][j] > 0:
-                if reverse:
-                    adj[j].append(i)
-                else:
-                    adj[i].append(j)
-    return adj
+    succ = [[v for v, p in enumerate(row) if p > 0] for row in matrix.rows]
+    pred = [[u for u in range(k) if matrix.rows[u][v] > 0] for v in range(k)]
+    for adj in (pred, succ):
+        level = [-1] * k
+        level[0] = 0
+        queue = deque([0])
+        while queue:
+            u = queue.popleft()
+            for v in adj[u]:
+                if level[v] < 0:
+                    level[v] = level[u] + 1
+                    queue.append(v)
+        if -1 in level:
+            return None
+    return gcd(*(level[u] + 1 - level[v] for u in range(k) for v in succ[u]))
 
 
-def _reachable(adj: list[list[int]], start: int) -> set[int]:
-    seen = {start}
-    queue = deque([start])
-    while queue:
-        u = queue.popleft()
-        for v in adj[u]:
-            if v not in seen:
-                seen.add(v)
-                queue.append(v)
-    return seen
+def _irreducible_period(matrix: TransitionMatrix, message: str) -> int:
+    """The period of ``matrix``; raises NotIrreducible with ``message`` if it is reducible."""
+    p = _structure(matrix)
+    if p is None:
+        raise NotIrreducible(message)
+    return p
 
 
 def is_irreducible(matrix: TransitionMatrix) -> bool:
-    """True iff the positive-entry digraph is strongly connected.
-
-    Strong connectivity is checked with one forward and one backward
-    traversal from state 0. For row-stochastic matrices this is equivalent
-    to every pair of states communicating in some positive number of steps:
-    every state in a strongly connected stochastic digraph lies on a cycle.
-    """
-    k = matrix.dimension
-    if len(_reachable(_adjacency(matrix), 0)) != k:
-        return False
-    return len(_reachable(_adjacency(matrix, reverse=True), 0)) == k
+    """True iff the positive-entry digraph is strongly connected."""
+    return _structure(matrix) is not None
 
 
 def period(matrix: TransitionMatrix, state: int) -> int:
     """GCD of the lengths of all cycles through ``state``.
 
-    Computed from a breadth-first level assignment over the positive-entry
-    digraph: the period equals gcd of level(u) + 1 - level(v) over all edges
-    (u, v), which for strongly connected graphs equals the gcd of all closed
-    walk lengths through any fixed state.
+    Defined here only for irreducible matrices, where the period is the same
+    for every state: irreducibility is checked first, then the state index.
     """
-    if not is_irreducible(matrix):
-        raise NotIrreducible("period is defined here only for irreducible matrices")
+    p = _irreducible_period(matrix, "period is defined here only for irreducible matrices")
+    require_int("state", state)
     k = matrix.dimension
     if not 0 <= state < k:
         raise ValueError(f"state index {state} out of range for {k} states")
-    return _period(matrix, state)
-
-
-def _period(matrix: TransitionMatrix, state: int) -> int:
-    """:func:`period` of a matrix already known to be irreducible."""
-    k = matrix.dimension
-    adj = _adjacency(matrix)
-    level = [-1] * k
-    level[state] = 0
-    queue = deque([state])
-    while queue:
-        u = queue.popleft()
-        for v in adj[u]:
-            if level[v] < 0:
-                level[v] = level[u] + 1
-                queue.append(v)
-    g = 0
-    for u in range(k):
-        for v in adj[u]:
-            g = gcd(g, level[u] + 1 - level[v])
-    return g
+    return p
 
 
 def is_aperiodic(matrix: TransitionMatrix) -> bool:
     """True iff the (irreducible) matrix has period 1."""
-    if not is_irreducible(matrix):
-        raise NotIrreducible("aperiodicity is defined here only for irreducible matrices")
-    return _period(matrix, 0) == 1
+    return _irreducible_period(
+        matrix, "aperiodicity is defined here only for irreducible matrices"
+    ) == 1
 
 
 def is_ergodic(matrix: TransitionMatrix) -> bool:
     """True iff irreducible and aperiodic."""
-    return is_irreducible(matrix) and _period(matrix, 0) == 1
+    return _structure(matrix) == 1
 
 
 def stationary_distribution(matrix: TransitionMatrix) -> DistributionVector:
@@ -341,8 +332,9 @@ def stationary_distribution(matrix: TransitionMatrix) -> DistributionVector:
     contain more than one element and any single answer would be arbitrary.
     Irreducible-but-periodic matrices are accepted (uniqueness still holds).
     """
-    if not is_irreducible(matrix):
-        raise NotIrreducible("stationary distribution is unique only for irreducible matrices")
+    _irreducible_period(
+        matrix, "stationary distribution is unique only for irreducible matrices"
+    )
     return _stationary(matrix)
 
 
@@ -408,11 +400,10 @@ def expectation(
 
 def ergodicity_report(matrix: TransitionMatrix) -> ErgodicityReport:
     """Full structural summary: irreducibility, period, ergodicity, stationary."""
-    if not is_irreducible(matrix):
+    p = _structure(matrix)
+    if p is None:
         return ErgodicityReport(irreducible=False, period=None, stationary=None)
-    return ErgodicityReport(
-        irreducible=True, period=_period(matrix, 0), stationary=_stationary(matrix)
-    )
+    return ErgodicityReport(irreducible=True, period=p, stationary=_stationary(matrix))
 
 
 def convergence_report(chain: Chain, n_max: int) -> list[ConvergenceRow]:
@@ -421,10 +412,11 @@ def convergence_report(chain: Chain, n_max: int) -> list[ConvergenceRow]:
     One row per n in 1..n_max. Requires an ergodic matrix (so the stationary
     distribution is the limit) and an initial distribution to start from.
     """
-    if not is_ergodic(chain.matrix):
+    if _structure(chain.matrix) != 1:
         raise NotErgodic("convergence report requires an ergodic transition matrix")
     if chain.initial is None:
         raise MissingInitialDistribution("convergence report needs an initial distribution")
+    require_int("n_max", n_max)
     if n_max < 1:
         raise ValueError(f"n_max must be >= 1, got {n_max}")
     pi = _stationary(chain.matrix)
@@ -435,5 +427,5 @@ def convergence_report(chain: Chain, n_max: int) -> list[ConvergenceRow]:
             ConvergenceRow(n, current, total_variation_distance(current, pi))
         )
         if n < n_max:
-            current = DistributionVector(_vec_mat(current.weights, chain.matrix.rows))
+            current = DistributionVector(_mat_mul((current.weights,), chain.matrix.rows)[0])
     return rows

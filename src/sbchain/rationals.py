@@ -4,7 +4,7 @@ All analysis-side arithmetic in this package is done with
 :class:`fractions.Fraction` (arbitrary-precision, always in lowest terms,
 positive denominator). This module owns the text representation used by the
 CLI and the chain-spec JSON format: ``"a/b"`` or ``"a"`` with integer parts
-only. Floats are rejected everywhere an exact value is expected.
+only. Floats and booleans are rejected everywhere an exact value is expected.
 """
 
 from __future__ import annotations
@@ -44,11 +44,12 @@ def as_exact(value: Fraction | int | str) -> Fraction:
     """Coerce an exact input (Fraction, int, or rational string) to Fraction.
 
     Floats are refused: silently accepting them would smuggle binary rounding
-    into identities that are checked by exact comparison.
+    into identities that are checked by exact comparison. Booleans are
+    refused too: ``True`` is an int to Python but never a probability here.
     """
     if isinstance(value, Fraction):
         return value
-    if isinstance(value, int):
+    if isinstance(value, int) and not isinstance(value, bool):
         return Fraction(value)
     if isinstance(value, str):
         return parse_rational(value)
@@ -56,3 +57,9 @@ def as_exact(value: Fraction | int | str) -> Fraction:
         f"exact rational required, got {type(value).__name__}: {value!r}"
         " (floats are not accepted in exact-analysis inputs)"
     )
+
+
+def require_int(name: str, value) -> None:
+    """Raise ValueError unless ``value`` is an int; bools are refused."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"{name} must be an int, got {value!r}")

@@ -24,6 +24,7 @@ from fractions import Fraction
 from typing import Iterable, Sequence
 
 from .markov_core import Chain, DistributionVector, new_chain
+from .rationals import require_int
 
 STATE_LABELS = ("M_H", "M_T", "Tu")
 
@@ -86,6 +87,7 @@ def exact_distribution(n: int) -> DistributionVector:
     1/3 - s/(3*2^(n-1)) for Tuesday, with s = (-1)^(n+1). Equals the
     matrix recursion initial * P^(n-1) for every n >= 1.
     """
+    require_int("n", n)
     if n < 1:
         raise ValueError(f"awakening index must be >= 1, got {n}")
     sign = 1 if n % 2 == 1 else -1

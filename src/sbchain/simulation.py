@@ -27,16 +27,12 @@ import json
 
 import numpy as np
 
+from .rationals import require_int
 from .sbp_model import Awakening, EmptyInput, Toss, parse_coin_tokens
 
 GENERATOR_NAME = "philox4x64"
 BLOCK_SIZE = 1 << 16
 _STATES = (Awakening.M_H, Awakening.M_T, Awakening.TU)
-
-
-def _require_int(name: str, value) -> None:
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ValueError(f"{name} must be an int, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -50,7 +46,7 @@ class SimulationConfig:
 
     def __post_init__(self):
         for name in ("seed", "n_experiments", "checkpoint_stride"):
-            _require_int(name, getattr(self, name))
+            require_int(name, getattr(self, name))
         if not 0 <= self.seed < 2**64:
             raise ValueError(f"seed must be a 64-bit unsigned integer, got {self.seed}")
         if self.n_experiments < 1:
@@ -218,7 +214,7 @@ def forced_run(
     tosses = parse_coin_tokens(coins)
     if not tosses:
         raise EmptyInput("cannot run a simulation on an empty coin sequence")
-    _require_int("checkpoint_stride", checkpoint_stride)
+    require_int("checkpoint_stride", checkpoint_stride)
     if checkpoint_stride < 1:
         raise ValueError(f"checkpoint_stride must be >= 1, got {checkpoint_stride}")
     heads = np.fromiter(map(is_, tosses, repeat(Toss.HEADS)), np.uint8, len(tosses))

@@ -58,6 +58,13 @@ class TestLoadChainSpec:
         ):
             load_chain_spec(doc)
 
+    def test_bool_entry_names_cell(self):
+        doc = json.dumps({"states": ["a", "b"], "matrix": [[1, 0], [0, True]]})
+        with pytest.raises(
+            ChainSpecError, match=r"matrix row 1, column 1: booleans are not accepted"
+        ):
+            load_chain_spec(doc)
+
     def test_bad_rational_string(self):
         doc = json.dumps({"states": ["a"], "matrix": [["1/0"]]})
         with pytest.raises(ChainSpecError, match="matrix row 0, column 0"):

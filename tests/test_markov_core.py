@@ -133,6 +133,12 @@ class TestConstruction:
         with pytest.raises(TypeError, match="floats are not accepted"):
             TransitionMatrix([[0.5, 0.5], [0.5, 0.5]])
 
+    def test_bools_rejected(self):
+        with pytest.raises(TypeError, match="bool"):
+            TransitionMatrix([[True, False], [False, True]])
+        with pytest.raises(TypeError, match="bool"):
+            DistributionVector([True, False])
+
     def test_distribution_negative_weight(self):
         with pytest.raises(NonStochasticRow):
             DistributionVector([Fraction(3, 2), Fraction(-1, 2)])
@@ -191,6 +197,68 @@ class TestNStepDistribution:
     def test_requires_positive_step(self):
         with pytest.raises(ValueError):
             n_step_distribution(sbp_chain(), 0)
+
+
+FOUR_STATE = TransitionMatrix(
+    [
+        [HALF, HALF, 0, 0],
+        [0, 0, Fraction(2, 3), THIRD],
+        [Fraction(1, 5), 0, 0, Fraction(4, 5)],
+        [0, 1, 0, 0],
+    ]
+)
+
+
+class TestPowering:
+    def test_matches_repeated_multiplication(self):
+        chain = Chain(
+            StateSpace("abcd"),
+            FOUR_STATE,
+            DistributionVector([Fraction(1, 7), 0, Fraction(2, 7), Fraction(4, 7)]),
+        )
+        rows = [list(r) for r in FOUR_STATE.rows]
+        power = [[Fraction(int(i == j)) for j in range(4)] for i in range(4)]
+        for n in range(66):
+            if n in (0, 1, 2, 3, 31, 32, 33, 63, 64, 65):
+                assert [list(r) for r in matrix_power(FOUR_STATE, n).rows] == power
+                expected = [
+                    sum(w * power[i][j] for i, w in enumerate(chain.initial.weights))
+                    for j in range(4)
+                ]
+                assert list(n_step_distribution(chain, n + 1).weights) == expected
+            power = mul(power, rows)
+
+    def test_computes_only_used_products(self, monkeypatch):
+        calls = []
+        product = markov_core._mat_mul
+        monkeypatch.setattr(
+            markov_core, "_mat_mul", lambda a, b: calls.append(len(a)) or product(a, b)
+        )
+        matrix = TransitionMatrix(SBP_GRID)
+        matrix_power(matrix, 32)
+        assert len(calls) == 5
+        calls.clear()
+        matrix_power(matrix, 33)
+        assert len(calls) == 6
+        calls.clear()
+        n_step_distribution(sbp_chain(), 33)
+        assert calls == [3] * 5 + [1]
+
+
+@pytest.mark.parametrize("value", [2.0, True, "2"])
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda v: matrix_power(TransitionMatrix(SBP_GRID), v),
+        lambda v: n_step_distribution(sbp_chain(), v),
+        lambda v: convergence_report(sbp_chain(), v),
+        lambda v: period(TransitionMatrix(SBP_GRID), v),
+    ],
+    ids=["matrix_power", "n_step_distribution", "convergence_report", "period"],
+)
+def test_integer_arguments_reject_non_ints(call, value):
+    with pytest.raises(ValueError, match="must be an int"):
+        call(value)
 
 
 # --- structure checks ------------------------------------------------------
@@ -361,9 +429,9 @@ class TestErgodicityReport:
 
     def test_irreducibility_decided_once(self, monkeypatch):
         calls = []
-        check = markov_core.is_irreducible
+        check = markov_core._structure
         monkeypatch.setattr(
-            markov_core, "is_irreducible", lambda matrix: calls.append(matrix) or check(matrix)
+            markov_core, "_structure", lambda matrix: calls.append(matrix) or check(matrix)
         )
         ergodicity_report(TransitionMatrix(SBP_GRID))
         assert len(calls) == 1

@@ -51,3 +51,8 @@ class TestAsExact:
     def test_rejects_float(self):
         with pytest.raises(TypeError, match="floats are not accepted"):
             as_exact(0.5)
+
+    @pytest.mark.parametrize("value", [True, False])
+    def test_rejects_bool(self, value):
+        with pytest.raises(TypeError, match="got bool"):
+            as_exact(value)

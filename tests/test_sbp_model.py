@@ -82,6 +82,11 @@ class TestExactDistribution:
         with pytest.raises(ValueError, match=">= 1"):
             exact_distribution(n)
 
+    @pytest.mark.parametrize("n", [2.0, True, "2"])
+    def test_rejects_non_int_index(self, n):
+        with pytest.raises(ValueError, match="must be an int"):
+            exact_distribution(n)
+
 
 class TestEncode:
     def test_single_heads(self):
