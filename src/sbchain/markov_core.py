@@ -1,15 +1,19 @@
 """General finite-state Markov chain machinery in exact rational arithmetic.
 
-Everything here works with :class:`fractions.Fraction` entries: matrix powers,
+Every value at the API is an exact :class:`fractions.Fraction`: matrix powers,
 n-step distributions, irreducibility/periodicity/ergodicity checks, the
 stationary-distribution solver, and convergence diagnostics are all exact.
-There is no floating point, and therefore no tolerance, anywhere in this
-module. All types are immutable values; all operations are pure functions.
+Products and solves run on integer numerators over one common denominator:
+P^n = (D P)^n / D^n, and the stationary law comes from fraction-free
+(Bareiss) elimination. There is no floating point, and therefore no
+tolerance, anywhere in this module. All types are immutable values; all
+operations are pure functions.
 
-Each decision has one path: ``_stochastic`` checks every row and
-distribution, ``_times_power`` does all binary powering (squaring only while
-bits of n remain; n-step distributions power the initial row, never P^(n-1)),
-and ``_structure`` decides irreducibility and the period in one pass.
+Each decision has one path: ``_scaled`` is the only place Fractions become
+integers, ``_stochastic`` checks every row and distribution, ``_times_power``
+does all binary powering (squaring only while bits of n remain; n-step
+distributions power the initial row, never P^(n-1)), and ``_structure``
+decides irreducibility and the period in one pass.
 """
 
 from __future__ import annotations
@@ -17,7 +21,8 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
+from operator import mul
 from typing import NamedTuple, Sequence
 
 from .rationals import as_exact, require_int
@@ -207,15 +212,18 @@ def new_chain(
     return Chain(states=space, matrix=matrix, initial=dist)
 
 
-def _mat_mul(a: tuple[tuple[Fraction, ...], ...], b: tuple[tuple[Fraction, ...], ...]):
+def _scaled(rows: Sequence[Sequence[Fraction]]) -> tuple[list[list[int]], int]:
+    """``(A, D)``: D is the lcm of all denominators in ``rows``, and A = D * rows."""
+    d = lcm(*(x.denominator for row in rows for x in row))
+    return [[x.numerator * (d // x.denominator) for x in row] for row in rows], d
+
+
+def _int_mul(a: Sequence[Sequence[int]], b: Sequence[Sequence[int]]) -> list[list[int]]:
     cols = list(zip(*b))
-    return tuple(
-        tuple(sum((x * y for x, y in zip(row, col)), ZERO) for col in cols)
-        for row in a
-    )
+    return [[sum(map(mul, row, col)) for col in cols] for row in a]
 
 
-def _times_power(rows, base: tuple[tuple[Fraction, ...], ...], n: int):
+def _times_power(rows, base: list[list[int]], n: int):
     """``rows`` times ``base`` to the n, with None standing for the identity.
 
     Binary powering from the low bit: the base is squared only while higher
@@ -223,11 +231,11 @@ def _times_power(rows, base: tuple[tuple[Fraction, ...], ...], n: int):
     """
     while True:
         if n & 1:
-            rows = base if rows is None else _mat_mul(rows, base)
+            rows = base if rows is None else _int_mul(rows, base)
         n >>= 1
         if not n:
             return rows
-        base = _mat_mul(base, base)
+        base = _int_mul(base, base)
 
 
 def matrix_power(matrix: TransitionMatrix, n: int) -> TransitionMatrix:
@@ -238,7 +246,9 @@ def matrix_power(matrix: TransitionMatrix, n: int) -> TransitionMatrix:
     k = matrix.dimension
     if n == 0:
         return TransitionMatrix([[ONE if i == j else ZERO for j in range(k)] for i in range(k)])
-    return TransitionMatrix(_times_power(None, matrix.rows, n))
+    a, d = _scaled(matrix.rows)
+    den = d**n
+    return TransitionMatrix([[Fraction(x, den) for x in row] for row in _times_power(None, a, n)])
 
 
 def n_step_distribution(chain: Chain, n: int) -> DistributionVector:
@@ -254,8 +264,11 @@ def n_step_distribution(chain: Chain, n: int) -> DistributionVector:
     require_int("n", n)
     if n < 1:
         raise ValueError(f"step index must be >= 1, got {n}")
-    (weights,) = _times_power((chain.initial.weights,), chain.matrix.rows, n - 1)
-    return DistributionVector(weights)
+    a, d = _scaled(chain.matrix.rows)
+    w, d0 = _scaled((chain.initial.weights,))
+    (weights,) = _times_power(w, a, n - 1)
+    den = d0 * d ** (n - 1)
+    return DistributionVector([Fraction(x, den) for x in weights])
 
 
 def _structure(matrix: TransitionMatrix) -> int | None:
@@ -341,36 +354,31 @@ def stationary_distribution(matrix: TransitionMatrix) -> DistributionVector:
 def _stationary(matrix: TransitionMatrix) -> DistributionVector:
     """:func:`stationary_distribution` of a matrix already known to be irreducible."""
     k = matrix.dimension
-    # Equations indexed by column j: sum_i pi_i (P[i][j] - [i == j]) = 0.
+    a, d = _scaled(matrix.rows)
+    # Equations indexed by column j: sum_i pi_i (A[i][j] - D [i == j]) = 0.
     # The k equations are linearly dependent (rows of P - I sum to zero), so
     # replacing any one with the normalization sum pi_i = 1 gives a
     # nonsingular system; we replace the last.
-    rows = [
-        [matrix.rows[i][j] - (ONE if i == j else ZERO) for i in range(k)] + [ZERO]
-        for j in range(k - 1)
-    ]
-    rows.append([ONE] * k + [ONE])
-    return DistributionVector(_solve_exact(rows))
-
-
-def _solve_exact(augmented: list[list[Fraction]]) -> list[Fraction]:
-    """Gaussian elimination over Fractions on an n x (n+1) augmented system."""
-    n = len(augmented)
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if augmented[r][col] != 0), None)
-        if pivot is None:
+    system = [[a[i][j] - (d if i == j else 0) for i in range(k)] + [0] for j in range(k - 1)]
+    system.append([1] * (k + 1))
+    # Fraction-free Gauss-Jordan (Bareiss): every entry stays a minor of the
+    # system, so each division by the previous pivot is exact, and at the
+    # end every diagonal entry equals the last pivot, the determinant (up to
+    # the sign of the row swaps).
+    previous = 1
+    for c in range(k):
+        p = next((r for r in range(c, k) if system[r][c] != 0), None)
+        if p is None:
             raise MarkovError("singular system in exact solver")
-        augmented[col], augmented[pivot] = augmented[pivot], augmented[col]
-        pivot_row = augmented[col]
-        inv = ONE / pivot_row[col]
-        augmented[col] = [x * inv for x in pivot_row]
-        for r in range(n):
-            if r != col and augmented[r][col] != 0:
-                factor = augmented[r][col]
-                augmented[r] = [
-                    x - factor * y for x, y in zip(augmented[r], augmented[col])
-                ]
-    return [augmented[r][n] for r in range(n)]
+        system[c], system[p] = system[p], system[c]
+        pivot_row = system[c]
+        pivot = pivot_row[c]
+        for r, row in enumerate(system):
+            if r != c:
+                f = row[c]
+                system[r] = [(pivot * x - f * y) // previous for x, y in zip(row, pivot_row)]
+        previous = pivot
+    return DistributionVector([Fraction(row[k], previous) for row in system])
 
 
 def total_variation_distance(p: DistributionVector, q: DistributionVector) -> Fraction:
@@ -420,12 +428,12 @@ def convergence_report(chain: Chain, n_max: int) -> list[ConvergenceRow]:
     if n_max < 1:
         raise ValueError(f"n_max must be >= 1, got {n_max}")
     pi = _stationary(chain.matrix)
-    rows = []
-    current = chain.initial
-    for n in range(1, n_max + 1):
-        rows.append(
-            ConvergenceRow(n, current, total_variation_distance(current, pi))
-        )
-        if n < n_max:
-            current = DistributionVector(_mat_mul((current.weights,), chain.matrix.rows)[0])
+    a, d = _scaled(chain.matrix.rows)
+    (w,), den = _scaled((chain.initial.weights,))
+    rows = [ConvergenceRow(1, chain.initial, total_variation_distance(chain.initial, pi))]
+    for n in range(2, n_max + 1):
+        (w,) = _int_mul((w,), a)
+        den *= d
+        current = DistributionVector([Fraction(x, den) for x in w])
+        rows.append(ConvergenceRow(n, current, total_variation_distance(current, pi)))
     return rows

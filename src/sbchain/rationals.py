@@ -1,8 +1,10 @@
 """Exact rational parsing and formatting.
 
-All analysis-side arithmetic in this package is done with
-:class:`fractions.Fraction` (arbitrary-precision, always in lowest terms,
-positive denominator). This module owns the text representation used by the
+All analysis-side values in this package are exact
+:class:`fractions.Fraction` values at the API (arbitrary-precision, always in
+lowest terms, positive denominator); the Markov core runs its products and
+solves on integer numerators over one common denominator, and no float is
+used anywhere. This module owns the text representation used by the
 CLI and the chain-spec JSON format: ``"a/b"`` or ``"a"`` with integer parts
 only. Floats and booleans are rejected everywhere an exact value is expected.
 """

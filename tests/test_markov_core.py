@@ -39,6 +39,8 @@ from sbchain.markov_core import (
     total_variation_distance,
 )
 
+import fraction_oracle
+
 HALF = Fraction(1, 2)
 THIRD = Fraction(1, 3)
 
@@ -230,9 +232,9 @@ class TestPowering:
 
     def test_computes_only_used_products(self, monkeypatch):
         calls = []
-        product = markov_core._mat_mul
+        product = markov_core._int_mul
         monkeypatch.setattr(
-            markov_core, "_mat_mul", lambda a, b: calls.append(len(a)) or product(a, b)
+            markov_core, "_int_mul", lambda a, b: calls.append(len(a)) or product(a, b)
         )
         matrix = TransitionMatrix(SBP_GRID)
         matrix_power(matrix, 32)
@@ -243,6 +245,36 @@ class TestPowering:
         calls.clear()
         n_step_distribution(sbp_chain(), 33)
         assert calls == [3] * 5 + [1]
+        for n in (1, 2, 9):
+            calls.clear()
+            convergence_report(sbp_chain(), n)
+            assert calls == [1] * (n - 1)
+
+
+# k = 12 rows whose denominators are twelve distinct primes, so the common
+# denominator D is their product (about 2^240) and P^16 carries D^16.
+PRIMES = (1000003, 1000033, 1000037, 1000039, 1000081, 1000099,
+          1000117, 1000121, 1000133, 1000151, 1000159, 1000171)
+
+
+def coprime_row(i, q):
+    head = [Fraction((7 * i + 13 * j) % 50 + 1, q) for j in range(11)]
+    return head + [1 - sum(head)]
+
+
+COPRIME_ROWS = [coprime_row(i, q) for i, q in enumerate(PRIMES)]
+
+
+class TestFractionOracle:
+    def test_large_coprime_denominators(self):
+        matrix = TransitionMatrix(COPRIME_ROWS)
+        assert [row[-1].denominator for row in matrix.rows] == list(PRIMES)
+        power = matrix_power(matrix, 16)
+        assert power.rows == fraction_oracle.matrix_power(matrix.rows, 16)
+        assert all(type(x) is Fraction for row in power.rows for x in row)
+        pi = stationary_distribution(matrix)
+        assert list(pi.weights) == fraction_oracle.stationary(matrix.rows)
+        assert all(type(x) is Fraction for x in pi.weights)
 
 
 @pytest.mark.parametrize("value", [2.0, True, "2"])

@@ -14,6 +14,8 @@ from sbchain import cli
 from sbchain.markov_core import (
     DistributionVector,
     TransitionMatrix,
+    convergence_report,
+    is_ergodic,
     is_irreducible,
     matrix_power,
     n_step_distribution,
@@ -39,6 +41,7 @@ from sbchain.simulation import (
     run_simulation,
     state_frequencies,
 )
+import fraction_oracle
 from test_markov_core import brute_force_irreducible, brute_force_period, mul
 
 
@@ -65,6 +68,24 @@ def positive_matrices(draw, max_dim=4):
         weights = draw(st.lists(st.integers(1, 6), min_size=k, max_size=k))
         total = sum(weights)
         rows.append([Fraction(w, total) for w in weights])
+    return TransitionMatrix(rows)
+
+
+@st.composite
+def periodic_matrices(draw, max_dim=6):
+    """Irreducible matrix of period p >= 2: states split into p non-empty
+    classes, and each row spreads positive weight over the next class only."""
+    k = draw(st.integers(2, max_dim))
+    p = draw(st.integers(2, k))
+    cls = list(range(p)) + draw(st.lists(st.integers(0, p - 1), min_size=k - p, max_size=k - p))
+    rows = []
+    for c in cls:
+        targets = [j for j in range(k) if cls[j] == (c + 1) % p]
+        weights = draw(st.lists(st.integers(1, 6), min_size=len(targets), max_size=len(targets)))
+        row = [Fraction(0)] * k
+        for j, w in zip(targets, weights):
+            row[j] = Fraction(w, sum(weights))
+        rows.append(row)
     return TransitionMatrix(rows)
 
 
@@ -153,6 +174,48 @@ class TestDistributionProperties:
         assert total_variation_distance(p, r) <= total_variation_distance(
             p, q
         ) + total_variation_distance(q, r)
+
+
+def all_fractions(values):
+    return all(type(x) is Fraction for x in values)
+
+
+class TestFractionOracle:
+    """The integer kernel equals the plain Fraction routines exactly."""
+
+    @given(st.one_of(stochastic_matrices(max_dim=6), periodic_matrices()), st.integers(0, 9))
+    @settings(deadline=None)
+    def test_matrix_power(self, matrix, n):
+        power = matrix_power(matrix, n)
+        assert power.rows == fraction_oracle.matrix_power(matrix.rows, n)
+        assert all(all_fractions(row) for row in power.rows)
+
+    @given(st.data(), stochastic_matrices(max_dim=6), st.integers(1, 10))
+    @settings(deadline=None)
+    def test_n_step_distribution(self, data, matrix, n):
+        initial = data.draw(distributions(matrix.dimension))
+        chain = new_chain([f"s{i}" for i in range(matrix.dimension)], matrix.rows, initial.weights)
+        dist = n_step_distribution(chain, n)
+        assert dist.weights == fraction_oracle.n_step_distribution(matrix.rows, initial.weights, n)
+        assert all_fractions(dist.weights)
+
+    @given(st.one_of(stochastic_matrices(max_dim=6).filter(is_irreducible), periodic_matrices()))
+    @settings(deadline=None)
+    def test_stationary_distribution(self, matrix):
+        pi = stationary_distribution(matrix)
+        assert list(pi.weights) == fraction_oracle.stationary(matrix.rows)
+        assert all_fractions(pi.weights)
+
+    @given(st.data(), stochastic_matrices(max_dim=6).filter(is_ergodic), st.integers(1, 10))
+    @settings(deadline=None)
+    def test_convergence_report(self, data, matrix, n_max):
+        initial = data.draw(distributions(matrix.dimension))
+        chain = new_chain([f"s{i}" for i in range(matrix.dimension)], matrix.rows, initial.weights)
+        rows = convergence_report(chain, n_max)
+        expected = fraction_oracle.convergence(matrix.rows, initial.weights, n_max)
+        assert [(row.distribution.weights, row.distance) for row in rows] == expected
+        assert [row.n for row in rows] == list(range(1, n_max + 1))
+        assert all(all_fractions(row.distribution.weights + (row.distance,)) for row in rows)
 
 
 class TestSequenceProperties:
