@@ -63,6 +63,8 @@ def load_chain_spec(text: str) -> Chain:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ChainSpecError(f"invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}") from None
+    except RecursionError:
+        raise ChainSpecError("invalid JSON: nested too deeply") from None
     if not isinstance(doc, dict):
         raise ChainSpecError("chain spec must be a JSON object")
     states = doc.get("states")
@@ -187,15 +189,11 @@ def cmd_exact(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    try:
-        config = simulation.SimulationConfig(
-            seed=args.seed,
-            n_experiments=args.n,
-            checkpoint_stride=args.stride,
-        )
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    config = simulation.SimulationConfig(
+        seed=args.seed,
+        n_experiments=args.n,
+        checkpoint_stride=args.stride,
+    )
     record = simulation.run_simulation(config)
     if args.format == "json":
         print(simulation.record_to_json(record))
@@ -221,8 +219,7 @@ def cmd_simulate(args) -> int:
 def cmd_convert(args) -> int:
     tokens = args.tokens
     if args.mode == "encode":
-        coins = sbp_model.parse_coin_tokens(tokens)
-        print(sbp_model.format_tokens(sbp_model.encode_coins(coins)))
+        print(sbp_model.format_tokens(sbp_model.encode_coins(tokens)))
     elif args.mode == "project":
         labeled = sbp_model.parse_labeled_tokens(tokens)
         sbp_model.validate_labeled_sequence(labeled)

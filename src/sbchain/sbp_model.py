@@ -10,11 +10,11 @@ three equivalent descriptions of a run:
 * labeled awakening sequence over {M_H, M_T, Tu},
 * observed day sequence over {M, Tu} (the labels with subscripts erased).
 
-Decoding an observed sequence back to labels uses the right neighbor of each
-M: an M followed by another M is a Heads-Monday, an M followed by Tu is a
-Tails-Monday. A trailing M has no right neighbor; callers declare whether the
-record is experiment-complete (trailing M must then be a Heads-Monday) or a
-prefix cut mid-experiment (trailing M stays undetermined).
+Decoding observed days is one pass: each M is read as a Heads-Monday, and a
+Tu turns the M just before it into a Tails-Monday; a Tu with no fresh M before
+it is malformed. A trailing M stays a Heads-Monday if the caller declares the
+record experiment-complete, else it is undetermined (cut mid-experiment).
+The converters take enum members only; the token parsers read text.
 """
 
 from __future__ import annotations
@@ -97,10 +97,8 @@ def exact_distribution(n: int) -> DistributionVector:
 
 
 def _parse_tokens(enum: type[Enum], tokens: Iterable, error: str) -> list:
-    """Members of ``enum`` whose values the string tokens equal once stripped
-    and uppercased. Any other token raises ValueError with ``error``
-    formatted with its repr.
-    """
+    """Members of ``enum`` whose values equal the tokens stripped and uppercased.
+    Any other token raises ValueError with ``error`` formatted with its repr."""
     table = {m.value: m for m in enum}
     out = []
     for token in tokens:
@@ -111,84 +109,85 @@ def _parse_tokens(enum: type[Enum], tokens: Iterable, error: str) -> list:
     return out
 
 
-def encode_coins(coins: Iterable[Toss | str]) -> list[Awakening]:
-    """Expand coin tosses into the labeled awakening stream.
+def _stray(enum: type[Enum], i: int, item) -> ValueError:
+    return ValueError(f"position {i}: expected an {enum.__name__}, got {item!r}")
 
-    Heads contributes (M_H,); Tails contributes (M_T, Tu). The output length
-    is #H + 2*#T.
-    """
+
+_AWAKENINGS = {Toss.HEADS: (Awakening.M_H,), Toss.TAILS: (Awakening.M_T, Awakening.TU)}
+_DAY = {Awakening.M_H: Observation.M, Awakening.M_T: Observation.M, Awakening.TU: Observation.TU}
+
+
+def encode_coins(coins: Iterable[Toss | str]) -> list[Awakening]:
+    """Expand tosses into awakenings: H gives (M_H,), T gives (M_T, Tu)."""
     tosses = parse_coin_tokens(coins)
     if not tosses:
         raise EmptyInput("cannot encode an empty coin sequence")
-    out: list[Awakening] = []
-    for toss in tosses:
-        if toss is Toss.HEADS:
-            out.append(Awakening.M_H)
-        else:
-            out.append(Awakening.M_T)
-            out.append(Awakening.TU)
-    return out
+    return [a for toss in tosses for a in _AWAKENINGS[toss]]
 
 
 def project_labels(seq: Sequence[Awakening]) -> list[Observation]:
     """Erase the subscripts: M_H and M_T both become M, Tu stays Tu."""
     out = []
     for i, a in enumerate(seq):
-        if a is Awakening.UNDETERMINED:
-            raise UndeterminedSymbol(
-                f"cannot project undetermined awakening at position {i}"
-            )
-        out.append(Observation.TU if a is Awakening.TU else Observation.M)
+        try:
+            out.append(_DAY[a])
+        except (KeyError, TypeError):
+            if a is Awakening.UNDETERMINED:
+                raise UndeterminedSymbol(
+                    f"cannot project undetermined awakening at position {i}"
+                ) from None
+            raise _stray(Awakening, i, a) from None
     return out
 
 
 def decode_observations(
     obs: Sequence[Observation], complete: bool = False
 ) -> list[Awakening]:
-    """Relabel an observed day sequence using each M's right neighbor.
+    """Relabel observed days: M is a Heads-Monday until a Tu follows it.
 
-    M before M is a Heads-Monday, M before Tu is a Tails-Monday, Tu stays Tu.
-    With ``complete=True`` a trailing M is a Heads-Monday (a Tails experiment
-    cannot stop on its Monday); otherwise it decodes to UNDETERMINED.
+    With ``complete=True`` a trailing M stays a Heads-Monday (a Tails
+    experiment cannot stop on its Monday); otherwise it becomes UNDETERMINED.
     """
-    for i, o in enumerate(obs):
-        if o is Observation.TU:
-            if i == 0:
-                raise MalformedObservation("observed sequence cannot start with Tu")
-            if obs[i - 1] is Observation.TU:
-                raise MalformedObservation(
-                    f"two consecutive Tu at positions {i - 1}, {i}"
-                )
+    m, tu, m_h = Observation.M, Observation.TU, Awakening.M_H
     out: list[Awakening] = []
     for i, o in enumerate(obs):
-        if o is Observation.TU:
+        if o is m:
+            out.append(m_h)
+        elif o is tu:
+            if not out:
+                raise MalformedObservation("observed sequence cannot start with Tu")
+            if out[-1] is not m_h:
+                raise MalformedObservation(f"two consecutive Tu at positions {i - 1}, {i}")
+            out[-1] = Awakening.M_T
             out.append(Awakening.TU)
-        elif i + 1 < len(obs):
-            next_is_tu = obs[i + 1] is Observation.TU
-            out.append(Awakening.M_T if next_is_tu else Awakening.M_H)
         else:
-            out.append(Awakening.M_H if complete else Awakening.UNDETERMINED)
+            raise _stray(Observation, i, o)
+    if out and out[-1] is m_h and not complete:
+        out[-1] = Awakening.UNDETERMINED
     return out
 
 
 def validate_labeled_sequence(seq: Sequence[Awakening]) -> None:
-    """Check the structural invariants of a labeled awakening sequence.
-
-    Raises ValueError unless: the sequence starts with a Monday, every M_T is
-    immediately followed by Tu, and every Tu is immediately preceded by M_T.
-    UNDETERMINED is tolerated only as the final symbol.
+    """Raise ValueError unless every item is an Awakening, the sequence starts
+    with a Monday, every M_T is immediately followed by Tu, every Tu is
+    immediately preceded by M_T, and UNDETERMINED is at most the final symbol.
     """
-    if seq and seq[0] is Awakening.TU:
-        raise ValueError("labeled sequence cannot start with Tu")
+    prev = None
     for i, a in enumerate(seq):
-        if a is Awakening.UNDETERMINED and i != len(seq) - 1:
-            raise ValueError(f"undetermined awakening at non-final position {i}")
-        if a is Awakening.M_T:
-            if i + 1 >= len(seq) or seq[i + 1] is not Awakening.TU:
-                raise ValueError(f"M_T at position {i} is not followed by Tu")
         if a is Awakening.TU:
-            if i == 0 or seq[i - 1] is not Awakening.M_T:
+            if i == 0:
+                raise ValueError("labeled sequence cannot start with Tu")
+            if prev is not Awakening.M_T:
                 raise ValueError(f"Tu at position {i} is not preceded by M_T")
+        elif not isinstance(a, Awakening):
+            raise _stray(Awakening, i, a)
+        elif prev is Awakening.M_T:
+            raise ValueError(f"M_T at position {i - 1} is not followed by Tu")
+        elif a is Awakening.UNDETERMINED and i != len(seq) - 1:
+            raise ValueError(f"undetermined awakening at non-final position {i}")
+        prev = a
+    if prev is Awakening.M_T:
+        raise ValueError(f"M_T at position {len(seq) - 1} is not followed by Tu")
 
 
 # --- token formats for CLI I/O -------------------------------------------

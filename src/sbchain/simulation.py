@@ -24,6 +24,7 @@ from operator import is_
 from typing import Iterable, Iterator, Mapping, NamedTuple
 
 import json
+import math
 
 import numpy as np
 
@@ -241,6 +242,17 @@ def state_frequencies(record: SimulationRecord) -> tuple[float, float, float]:
     )
 
 
+def _finite(name: str, value) -> float:
+    """``value`` as a float; ValueError unless it is a finite real number."""
+    try:
+        x = float(value)
+    except (TypeError, ValueError):
+        x = math.nan
+    if not math.isfinite(x):
+        raise ValueError(f"{name} must be a finite real number, got {value!r}")
+    return x
+
+
 def lln_trace(config: SimulationConfig, f: Mapping[Awakening, float]) -> LLNTrace:
     """Running averages of f over the awakening stream of a seeded run.
 
@@ -253,7 +265,7 @@ def lln_trace(config: SimulationConfig, f: Mapping[Awakening, float]) -> LLNTrac
     missing = [s for s in _STATES if s not in f]
     if missing:
         raise ValueError(f"f must be defined on all three states; missing {missing}")
-    f_values = tuple(float(f[s]) for s in _STATES)
+    f_values = tuple(_finite(f"f({s.name})", f[s]) for s in _STATES)
     f_mh, f_mt, f_tu = (Fraction(v) for v in f_values)
     q, m, h = _fold(_seeded_blocks(config), config.checkpoint_stride, per_awakening=True)
     # h Heads Mondays and m - h Tuesdays; the other q - m awakenings are Tails Mondays.
@@ -331,7 +343,10 @@ def record_from_json(text: str) -> SimulationRecord:
     follow from their counts or whose marks do not match the config, and
     header fields other than those the config and checkpoints imply.
     """
-    doc = json.loads(text)
+    try:
+        doc = json.loads(text)
+    except RecursionError:
+        raise ValueError("a record's JSON is nested too deeply") from None
     if not isinstance(doc, dict):
         raise ValueError("a record must be a JSON object")
     try:

@@ -145,6 +145,14 @@ class TestAnalyze:
         assert code == EXIT_USAGE
         assert "invalid JSON" in err
 
+    def test_deeply_nested_json_exits_2(self, capsys, tmp_path):
+        spec = tmp_path / "deep.json"
+        spec.write_text("[" * 100_000)
+        code, _, err = run_cli(capsys, "analyze", "--chain", str(spec))
+        assert code == EXIT_USAGE
+        assert "nested too deeply" in err
+        assert "Traceback" not in err
+
     def test_float_entries_exit_2(self, capsys, tmp_path):
         spec = tmp_path / "floaty.json"
         spec.write_text(

@@ -26,6 +26,8 @@ from sbchain.markov_core import (
 )
 from sbchain.sbp_model import (
     Awakening,
+    Observation,
+    Toss,
     decode_observations,
     encode_coins,
     project_labels,
@@ -42,6 +44,7 @@ from sbchain.simulation import (
     state_frequencies,
 )
 import fraction_oracle
+import sequence_oracle
 from test_markov_core import brute_force_irreducible, brute_force_period, mul
 
 
@@ -238,6 +241,73 @@ class TestSequenceProperties:
     def test_encoded_length_counts_awakenings(self, coins):
         record = forced_run(coins)
         assert record.total_awakenings == len(encode_coins(coins))
+
+
+def outcome(fn, *args, **kwargs):
+    """What ``fn`` returns, or the type and message of the ValueError it raises."""
+    try:
+        return fn(*args, **kwargs)
+    except ValueError as exc:
+        return type(exc), str(exc)
+
+
+observations = st.lists(st.sampled_from(list(Observation)), max_size=12)
+awakenings = st.lists(st.sampled_from(list(Awakening)), max_size=12)
+coin_items = st.lists(
+    st.sampled_from([Toss.HEADS, Toss.TAILS, "H", "t", " h ", "X", None]), max_size=10
+)
+strangers = st.one_of(
+    st.text(max_size=3),
+    st.none(),
+    st.integers(),
+    st.sampled_from([*Toss, *Observation, *Awakening]),
+)
+
+
+class TestSequenceOracle:
+    """The table-driven converters equal the branchy reference on members, and
+    reject any other item at its own position."""
+
+    @given(coin_items)
+    def test_encode_coins(self, coins):
+        assert outcome(encode_coins, coins) == outcome(sequence_oracle.encode_coins, coins)
+
+    @given(awakenings)
+    def test_project_labels(self, seq):
+        assert outcome(project_labels, seq) == outcome(sequence_oracle.project_labels, seq)
+
+    @given(observations, st.booleans())
+    def test_decode_observations(self, obs, complete):
+        assert outcome(decode_observations, obs, complete) == outcome(
+            sequence_oracle.decode_observations, obs, complete
+        )
+
+    @given(
+        st.one_of(
+            awakenings,
+            coin_sequences.map(encode_coins),
+            coin_sequences.map(lambda coins: [*encode_coins(coins), Awakening.UNDETERMINED]),
+        )
+    )
+    def test_validate_labeled_sequence(self, seq):
+        assert outcome(validate_labeled_sequence, seq) == outcome(
+            sequence_oracle.validate_labeled_sequence, seq
+        )
+
+    @given(coin_sequences, st.data())
+    def test_non_member_names_its_position(self, coins, data):
+        labels = encode_coins(coins)
+        observed = project_labels(labels)
+        for convert, base, enum in [
+            (project_labels, labels, Awakening),
+            (validate_labeled_sequence, labels, Awakening),
+            (lambda obs: decode_observations(obs, data.draw(st.booleans())), observed, Observation),
+        ]:
+            item = data.draw(strangers.filter(lambda x: not isinstance(x, enum)))
+            i = data.draw(st.integers(0, len(base)))
+            with pytest.raises(ValueError) as info:
+                convert([*base[:i], item, *base[i:]])
+            assert str(info.value) == f"position {i}: expected an {enum.__name__}, got {item!r}"
 
 
 class TestRunProperties:

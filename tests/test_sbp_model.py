@@ -130,6 +130,24 @@ class TestProject:
         assert project_labels([]) == []
 
 
+class TestMembersOnly:
+    @pytest.mark.parametrize(
+        "call, message",
+        [
+            (lambda: decode_observations([M, "TU"], complete=True),
+             "position 1: expected an Observation, got 'TU'"),
+            (lambda: project_labels([MT, None]), "position 1: expected an Awakening, got None"),
+            (lambda: validate_labeled_sequence(["TU", "TU"]),
+             "position 0: expected an Awakening, got 'TU'"),
+            (lambda: project_labels([MH, []]), "position 1: expected an Awakening, got []"),
+        ],
+    )
+    def test_non_member_rejected_with_position(self, call, message):
+        with pytest.raises(ValueError) as info:
+            call()
+        assert str(info.value) == message
+
+
 class TestDecode:
     def test_m_before_tu_is_tails_monday(self):
         assert decode_observations([M, OTU]) == [MT, TU]

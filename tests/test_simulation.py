@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import math
 import tracemalloc
 from fractions import Fraction
 
@@ -235,6 +236,12 @@ class TestLLNTrace:
         with pytest.raises(ValueError, match="all three states"):
             lln_trace(self.CFG, {Awakening.M_H: 1.0})
 
+    @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan, None, "x"])
+    def test_non_real_value_rejected(self, value):
+        f = {**indicator(Awakening.M_H), Awakening.M_T: value}
+        with pytest.raises(ValueError, match=r"f\(M_T\) must be a finite real number"):
+            lln_trace(self.CFG, f)
+
     def test_exact_average_from_counts(self):
         # By hand on a tiny forced stream: verify against the seeded stream's
         # own counts using exact arithmetic.
@@ -267,6 +274,10 @@ class TestRecordFromJson:
     def test_not_a_record(self, text):
         with pytest.raises(ValueError):
             record_from_json(text)
+
+    def test_deeply_nested_json_rejected(self):
+        with pytest.raises(ValueError, match="nested too deeply"):
+            record_from_json("[" * 100_000)
 
     @pytest.mark.parametrize(
         "field",
