@@ -25,6 +25,7 @@ from typing import Iterable, Iterator, Mapping, NamedTuple
 
 import json
 import math
+import numbers
 
 import numpy as np
 
@@ -243,10 +244,12 @@ def state_frequencies(record: SimulationRecord) -> tuple[float, float, float]:
 
 
 def _finite(name: str, value) -> float:
-    """``value`` as a float; ValueError unless it is a finite real number."""
+    """``value`` as a float; ValueError unless it is a finite ``numbers.Real``
+    other than a bool, so text such as "0.5" and True are not converted."""
+    real = isinstance(value, numbers.Real) and not isinstance(value, bool)
     try:
-        x = float(value)
-    except (TypeError, ValueError):
+        x = float(value) if real else math.nan
+    except OverflowError:
         x = math.nan
     if not math.isfinite(x):
         raise ValueError(f"{name} must be a finite real number, got {value!r}")
@@ -282,8 +285,9 @@ def indicator(state: Awakening) -> dict[Awakening, float]:
 
 
 # --- record serialization -------------------------------------------------
-# JSON carries full-precision floats so parse(print(record)) == record; the
-# CSV view renders one checkpoint per row with 6 fractional digits.
+# JSON carries full-precision floats so parse(print(record)) == record, and
+# is byte for byte what json.dumps(indent=2) writes for the same document;
+# the CSV view renders one checkpoint per row with 6 fractional digits.
 
 
 def _header(record: SimulationRecord) -> dict:
@@ -300,13 +304,25 @@ def _header(record: SimulationRecord) -> dict:
     }
 
 
+# One checkpoint object as json.dumps(indent=2) lays it out inside the list;
+# json writes a finite float as its repr, and h/m and h/a are always finite.
+_JSON_ROW = (
+    '    {\n      "experiments": %d,\n      "awakenings": %d,\n'
+    '      "halfer": %r,\n      "thirder": %r\n    }'
+)
+
+
 def record_to_json(record: SimulationRecord) -> str:
-    checkpoints = [
-        {"experiments": m, "awakenings": a, "halfer": h / m, "thirder": h / a}
+    # The header is small and goes through json, so _header stays the schema;
+    # json's pure-Python indent encoder is far too slow for 1e5+ rows.
+    head = json.dumps({**_header(record), "checkpoints": []}, indent=2)
+    head = head.removesuffix("[]\n}")
+    rows = ",\n".join([
+        _JSON_ROW % (m, a, h / m, h / a)
         for m, a in record.checkpoints
         for h in (2 * m - a,)
-    ]
-    return json.dumps({**_header(record), "checkpoints": checkpoints}, indent=2)
+    ])
+    return f"{head}[\n{rows}\n  ]\n}}"
 
 
 _CHECKPOINT_FIELDS = ("experiments", "awakenings", "halfer", "thirder")
@@ -361,7 +377,7 @@ def record_from_json(text: str) -> SimulationRecord:
         raise ValueError(f"malformed record: {exc!r}") from None
     # Every item yielded all four keys, so it is an object; a size of four
     # leaves no room for another key.
-    if any(len(c) != len(_CHECKPOINT_FIELDS) for c in items):
+    if set(map(len, items)) - {len(_CHECKPOINT_FIELDS)}:
         raise ValueError(f"each checkpoint must have exactly the keys {_CHECKPOINT_FIELDS}")
     record = SimulationRecord(config, _parse_checkpoints(columns))
     if config is not None and columns[0] != _checkpoint_marks(
@@ -384,12 +400,13 @@ def record_from_json(text: str) -> SimulationRecord:
 
 
 def record_to_csv(record: SimulationRecord) -> str:
-    lines = ["experiments,awakenings,halfer,thirder,freq_MH,freq_MT,freq_TU"]
+    lines = ["experiments,awakenings,halfer,thirder,freq_MH,freq_MT,freq_TU\n"]
     for m, a in record.checkpoints:
         heads = 2 * m - a
-        tails = m - heads
+        freq_heads = f"{heads / a:.6f}"
+        freq_tails = f"{(m - heads) / a:.6f}"
         lines.append(
-            f"{m},{a},{heads / m:.6f},{heads / a:.6f},"
-            f"{heads / a:.6f},{tails / a:.6f},{tails / a:.6f}"
+            f"{m},{a},{heads / m:.6f},{freq_heads},"
+            f"{freq_heads},{freq_tails},{freq_tails}\n"
         )
-    return "\n".join(lines) + "\n"
+    return "".join(lines)

@@ -1,0 +1,32 @@
+"""Reference writers for ``simulation``'s record text.
+
+These are the writers as first written: ``record_to_json`` puts one dict per
+checkpoint into the document and hands it all to ``json.dumps(indent=2)``,
+and ``record_to_csv`` joins the rows with newlines. The template writers must
+produce exactly their bytes. Not collected by pytest (no ``test_`` prefix).
+"""
+
+import json
+
+from sbchain.simulation import _header
+
+
+def record_to_json(record):
+    checkpoints = [
+        {"experiments": m, "awakenings": a, "halfer": h / m, "thirder": h / a}
+        for m, a in record.checkpoints
+        for h in (2 * m - a,)
+    ]
+    return json.dumps({**_header(record), "checkpoints": checkpoints}, indent=2)
+
+
+def record_to_csv(record):
+    lines = ["experiments,awakenings,halfer,thirder,freq_MH,freq_MT,freq_TU"]
+    for m, a in record.checkpoints:
+        heads = 2 * m - a
+        tails = m - heads
+        lines.append(
+            f"{m},{a},{heads / m:.6f},{heads / a:.6f},"
+            f"{heads / a:.6f},{tails / a:.6f},{tails / a:.6f}"
+        )
+    return "\n".join(lines) + "\n"

@@ -34,16 +34,19 @@ from sbchain.sbp_model import (
     validate_labeled_sequence,
 )
 from sbchain.simulation import (
+    BLOCK_SIZE,
     GENERATOR_NAME,
     SimulationConfig,
     forced_run,
     lln_trace,
     record_from_json,
+    record_to_csv,
     record_to_json,
     run_simulation,
     state_frequencies,
 )
 import fraction_oracle
+import record_oracle
 import sequence_oracle
 from test_markov_core import brute_force_irreducible, brute_force_period, mul
 
@@ -395,6 +398,37 @@ class TestRecordBoundary:
             target[last] = None if isinstance(value, str) else GENERATOR_NAME
         with pytest.raises(ValueError):
             record_from_json(json.dumps(doc))
+
+
+def assert_writers_match_oracle(record):
+    # Compared as lists of lines: pytest then reports the first differing
+    # line, where a diff of two long texts takes minutes per failing example.
+    for write, oracle in [
+        (record_to_json, record_oracle.record_to_json),
+        (record_to_csv, record_oracle.record_to_csv),
+    ]:
+        assert write(record).splitlines(True) == oracle(record).splitlines(True)
+
+
+# Anywhere up to three blocks, or within a few experiments of a block edge.
+seeded_lengths = st.integers(1, 3 * BLOCK_SIZE + 5) | st.builds(
+    lambda k, d: k * BLOCK_SIZE + d, st.integers(1, 3), st.integers(-2, 5)
+)
+
+
+class TestRecordWriterOracle:
+    @given(st.data(), st.integers(0, 2**64 - 1), seeded_lengths)
+    @settings(max_examples=40, deadline=None)
+    def test_seeded_record(self, data, seed, n):
+        # At most 4096 checkpoints keep the dict-per-checkpoint oracle quick.
+        low = -(-n // 4096)
+        stride = data.draw(st.integers(low, low + 100) | st.integers(low, 10**6), label="stride")
+        assert_writers_match_oracle(run_simulation(SimulationConfig(seed, n, stride)))
+
+    @given(record_coins, st.integers(1, 10**6))
+    @settings(deadline=None)
+    def test_forced_record(self, coins, stride):
+        assert_writers_match_oracle(forced_run(coins, checkpoint_stride=stride))
 
 
 # --- CLI boundary ---------------------------------------------------------------

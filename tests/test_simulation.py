@@ -236,11 +236,18 @@ class TestLLNTrace:
         with pytest.raises(ValueError, match="all three states"):
             lln_trace(self.CFG, {Awakening.M_H: 1.0})
 
-    @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan, None, "x"])
+    @pytest.mark.parametrize(
+        "value", [math.inf, -math.inf, math.nan, None, "x", "0.5", True, " 1e0 ", 10**400]
+    )
     def test_non_real_value_rejected(self, value):
         f = {**indicator(Awakening.M_H), Awakening.M_T: value}
         with pytest.raises(ValueError, match=r"f\(M_T\) must be a finite real number"):
             lln_trace(self.CFG, f)
+
+    @pytest.mark.parametrize("value", [1, Fraction(1, 2), np.float64(0.25)])
+    def test_real_values_accepted(self, value):
+        f = {**indicator(Awakening.M_H), Awakening.M_T: value}
+        assert lln_trace(self.CFG, f).f_values == (1.0, float(value), 0.0)
 
     def test_exact_average_from_counts(self):
         # By hand on a tiny forced stream: verify against the seeded stream's
@@ -493,3 +500,15 @@ class TestMemory:
         finally:
             tracemalloc.stop()
         assert peak < self.LIMIT
+
+    def test_json_writer_peak_is_a_small_multiple_of_its_text(self):
+        # 1e5 checkpoints. Handing one dict per checkpoint to json.dumps
+        # peaked at 8.4x the text; the row template stays under 2.5x.
+        record = run_simulation(SimulationConfig(seed=3, n_experiments=10**6, checkpoint_stride=10))
+        tracemalloc.start()
+        try:
+            text = record_to_json(record)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * len(text)
