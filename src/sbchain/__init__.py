@@ -50,23 +50,59 @@ from .sbp_model import (
     sbp_chain,
     validate_labeled_sequence,
 )
-from .simulation import (
-    GENERATOR_NAME,
-    Checkpoint,
-    LLNTrace,
-    SimulationConfig,
-    SimulationRecord,
-    StateCounts,
-    forced_run,
-    halfer_statistic,
-    indicator,
-    lln_trace,
-    record_from_json,
-    record_to_csv,
-    record_to_json,
-    run_simulation,
-    state_frequencies,
-    thirder_statistic,
+# The simulation names load numpy, so they resolve on first use (PEP 562).
+_SIMULATION_NAMES = (
+    "GENERATOR_NAME",
+    "Checkpoint",
+    "LLNTrace",
+    "SimulationConfig",
+    "SimulationRecord",
+    "StateCounts",
+    "forced_run",
+    "halfer_statistic",
+    "indicator",
+    "lln_trace",
+    "record_from_json",
+    "record_to_csv",
+    "record_to_json",
+    "run_simulation",
+    "state_frequencies",
+    "thirder_statistic",
 )
+__all__ = [
+    # markov_core
+    "Chain", "ConvergenceRow", "DimensionMismatch", "DistributionVector",
+    "DuplicateState", "EmptyStateSpace", "ErgodicityReport", "MarkovError",
+    "MissingInitialDistribution", "NonStochasticRow", "NotErgodic", "NotIrreducible",
+    "StateSpace", "TransitionMatrix", "convergence_report", "ergodicity_report",
+    "expectation", "is_aperiodic", "is_ergodic", "is_irreducible", "matrix_power",
+    "n_step_distribution", "new_chain", "period", "stationary_distribution",
+    "total_variation_distance",
+    # rationals
+    "as_exact", "format_rational", "parse_rational",
+    # sbp_model
+    "Awakening", "EmptyInput", "MalformedObservation", "Observation", "Toss",
+    "UndeterminedSymbol", "decode_observations", "encode_coins", "exact_distribution",
+    "project_labels", "sbp_chain", "validate_labeled_sequence",
+    # simulation, resolved lazily
+    *_SIMULATION_NAMES,
+]
 
 __version__ = "0.1.0"
+
+
+def __getattr__(name: str):
+    if name != "simulation" and name not in _SIMULATION_NAMES:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    # Not "from . import simulation": that asks this module for the attribute
+    # first and so would come straight back here. Importing the submodule
+    # binds "simulation" in this namespace; bind its public names next to it.
+    from importlib import import_module
+
+    module = import_module(".simulation", __name__)
+    globals().update((n, getattr(module, n)) for n in _SIMULATION_NAMES)
+    return globals()[name]
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *_SIMULATION_NAMES, "simulation"})

@@ -23,7 +23,7 @@ import json
 import sys
 from fractions import Fraction
 
-from . import markov_core, sbp_model, simulation
+from . import markov_core, sbp_model
 from .markov_core import Chain, MarkovError
 from .rationals import format_rational, parse_rational
 
@@ -189,6 +189,9 @@ def cmd_exact(args) -> int:
 
 
 def cmd_simulate(args) -> int:
+    # Only this command needs numpy, so the other commands never load it.
+    from . import simulation
+
     config = simulation.SimulationConfig(
         seed=args.seed,
         n_experiments=args.n,

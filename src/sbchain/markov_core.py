@@ -10,10 +10,12 @@ tolerance, anywhere in this module. All types are immutable values; all
 operations are pure functions.
 
 Each decision has one path: ``_scaled`` is the only place Fractions become
-integers, ``_stochastic`` checks every row and distribution, ``_times_power``
-does all binary powering (squaring only while bits of n remain; n-step
-distributions power the initial row, never P^(n-1)), and ``_structure``
-decides irreducibility and the period in one pass.
+integers, ``_stochastic`` checks every row and distribution (on integer
+numerators over the lcm of the denominators), ``_times_power`` does all
+binary powering (squaring only while bits of n remain; n-step distributions
+power the initial row, never P^(n-1)), ``_tv`` computes every total-variation
+distance on integer numerators, and ``_structure`` decides irreducibility and
+the period in one pass.
 """
 
 from __future__ import annotations
@@ -94,11 +96,12 @@ def _stochastic(values: Sequence[Fraction | int | str], name: str) -> tuple[Frac
     """
     converted = tuple(as_exact(v) for v in values)
     for j, v in enumerate(converted):
-        if v < 0 or v > 1:
+        if not 0 <= v.numerator <= v.denominator:
             raise NonStochasticRow(f"{name}, entry {j}: {v} outside [0, 1]")
-    total = sum(converted, ZERO)
-    if total != 1:
-        raise NonStochasticRow(f"{name} sums to {total}, expected 1")
+    (numerators,), d = _scaled((converted,))
+    total = sum(numerators)
+    if total != d:
+        raise NonStochasticRow(f"{name} sums to {Fraction(total, d)}, expected 1")
     return converted
 
 
@@ -381,13 +384,20 @@ def _stationary(matrix: TransitionMatrix) -> DistributionVector:
     return DistributionVector([Fraction(row[k], previous) for row in system])
 
 
+def _tv(x: Sequence[int], d: int, p: Sequence[int], q: int) -> Fraction:
+    """Total variation distance between x/d and p/q: sum |x_i q - p_i d| / (2 d q)."""
+    return Fraction(sum(abs(a * q - b * d) for a, b in zip(x, p)), 2 * d * q)
+
+
 def total_variation_distance(p: DistributionVector, q: DistributionVector) -> Fraction:
     """Half the L1 distance between two distributions, exact."""
     if len(p) != len(q):
         raise DimensionMismatch(
             f"distributions have lengths {len(p)} and {len(q)}"
         )
-    return sum((abs(a - b) for a, b in zip(p.weights, q.weights)), ZERO) / 2
+    (x,), d = _scaled((p.weights,))
+    (y,), e = _scaled((q.weights,))
+    return _tv(x, d, y, e)
 
 
 def expectation(
@@ -427,13 +437,13 @@ def convergence_report(chain: Chain, n_max: int) -> list[ConvergenceRow]:
     require_int("n_max", n_max)
     if n_max < 1:
         raise ValueError(f"n_max must be >= 1, got {n_max}")
-    pi = _stationary(chain.matrix)
+    (p,), q = _scaled((_stationary(chain.matrix).weights,))
     a, d = _scaled(chain.matrix.rows)
     (w,), den = _scaled((chain.initial.weights,))
-    rows = [ConvergenceRow(1, chain.initial, total_variation_distance(chain.initial, pi))]
+    rows = [ConvergenceRow(1, chain.initial, _tv(w, den, p, q))]
     for n in range(2, n_max + 1):
         (w,) = _int_mul((w,), a)
         den *= d
         current = DistributionVector([Fraction(x, den) for x in w])
-        rows.append(ConvergenceRow(n, current, total_variation_distance(current, pi)))
+        rows.append(ConvergenceRow(n, current, _tv(w, den, p, q)))
     return rows

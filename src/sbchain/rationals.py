@@ -6,7 +6,9 @@ lowest terms, positive denominator); the Markov core runs its products and
 solves on integer numerators over one common denominator, and no float is
 used anywhere. This module owns the text representation used by the
 CLI and the chain-spec JSON format: ``"a/b"`` or ``"a"`` with integer parts
-only. Floats and booleans are rejected everywhere an exact value is expected.
+only, in ASCII digits. Output is exact for integers of any size, whatever
+int/str digit limit the interpreter sets. Floats and booleans are rejected
+everywhere an exact value is expected.
 """
 
 from __future__ import annotations
@@ -14,7 +16,8 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 
-_RATIONAL_RE = re.compile(r"^([+-]?\d+)(?:/(\d+))?$")
+# [0-9], not \d: \d also matches non-ASCII digits such as Arabic-Indic ones.
+_RATIONAL_RE = re.compile(r"^([+-]?[0-9]+)(?:/([0-9]+))?$")
 
 
 def parse_rational(text: str) -> Fraction:
@@ -38,8 +41,24 @@ def parse_rational(text: str) -> Fraction:
 
 
 def format_rational(value: Fraction) -> str:
-    """Render a Fraction as ``"a/b"`` in lowest terms, or ``"a"`` for integers."""
-    return str(value)
+    """Render a Fraction as ``"a/b"`` in lowest terms, or ``"a"`` for integers.
+
+    Exact for any size, whatever the interpreter's int-to-str digit limit.
+    """
+    num = _decimal(value.numerator)
+    return num if value.denominator == 1 else f"{num}/{_decimal(value.denominator)}"
+
+
+def _decimal(n: int) -> str:
+    """``str(n)``, split into halves with divmod while n is too big for str."""
+    try:
+        return str(n)
+    except ValueError:  # more digits than the interpreter's int/str limit
+        if n < 0:
+            return "-" + _decimal(-n)
+        k = n.bit_length() * 3 // 20  # about half the digits: log10(2) > 3/10
+        high, low = divmod(n, 10**k)
+        return _decimal(high) + _decimal(low).zfill(k)
 
 
 def as_exact(value: Fraction | int | str) -> Fraction:

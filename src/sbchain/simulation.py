@@ -18,7 +18,6 @@ is one block plus the checkpoints for any run length.
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass
-from fractions import Fraction
 from itertools import repeat
 from operator import is_
 from typing import Iterable, Iterator, Mapping, NamedTuple
@@ -269,13 +268,16 @@ def lln_trace(config: SimulationConfig, f: Mapping[Awakening, float]) -> LLNTrac
     if missing:
         raise ValueError(f"f must be defined on all three states; missing {missing}")
     f_values = tuple(_finite(f"f({s.name})", f[s]) for s in _STATES)
-    f_mh, f_mt, f_tu = (Fraction(v) for v in f_values)
+    # f = (a, b, c) / e on one power-of-two denominator e. int / int is
+    # correctly rounded, exactly as float(Fraction) is, so each average below
+    # is the exact rational average rounded once.
+    ratios = [v.as_integer_ratio() for v in f_values]
+    e = max(den for _, den in ratios)
+    a, b, c = (num * (e // den) for num, den in ratios)
     q, m, h = _fold(_seeded_blocks(config), config.checkpoint_stride, per_awakening=True)
     # h Heads Mondays and m - h Tuesdays; the other q - m awakenings are Tails Mondays.
     counts = zip(q.tolist(), h.tolist(), (q - m).tolist(), (m - h).tolist())
-    averages = tuple(
-        (n, float((mh * f_mh + mt * f_mt + tu * f_tu) / n)) for n, mh, mt, tu in counts
-    )
+    averages = tuple((n, (mh * a + mt * b + tu * c) / (n * e)) for n, mh, mt, tu in counts)
     return LLNTrace(f_values=f_values, running_averages=averages)
 
 

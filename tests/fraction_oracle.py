@@ -1,13 +1,17 @@
 """Plain Fraction reference for the exact core's integer kernel.
 
-These are the routines ``markov_core`` ran before its products and solves
-moved onto integer numerators over a common denominator: Fraction matrix
-products, binary powering, and Gauss-Jordan elimination over Fractions.
-Tests compare the kernel with them for exact equality. Not collected by
-pytest (no ``test_`` prefix).
+These are the routines ``markov_core`` ran before its products, solves,
+stochastic checks and distances moved onto integer numerators over a common
+denominator: Fraction matrix products, binary powering, Gauss-Jordan
+elimination over Fractions, the Fraction-sum row check and the Fraction TV
+distance. Tests compare the kernel with them for exact equality. Not
+collected by pytest (no ``test_`` prefix).
 """
 
 from fractions import Fraction
+
+from sbchain.markov_core import DimensionMismatch, NonStochasticRow
+from sbchain.rationals import as_exact
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -82,3 +86,22 @@ def convergence(rows, initial, n_max):
         if n < n_max:
             (current,) = mat_mul((current,), rows)
     return out
+
+
+def stochastic(values, name):
+    """``values`` as Fractions, checked entry by entry and summed as Fractions."""
+    converted = tuple(as_exact(v) for v in values)
+    for j, v in enumerate(converted):
+        if v < 0 or v > 1:
+            raise NonStochasticRow(f"{name}, entry {j}: {v} outside [0, 1]")
+    total = sum(converted, ZERO)
+    if total != 1:
+        raise NonStochasticRow(f"{name} sums to {total}, expected 1")
+    return converted
+
+
+def total_variation_distance(p, q):
+    """Half the L1 distance between two DistributionVectors, over Fractions."""
+    if len(p) != len(q):
+        raise DimensionMismatch(f"distributions have lengths {len(p)} and {len(q)}")
+    return sum((abs(a - b) for a, b in zip(p.weights, q.weights)), ZERO) / 2

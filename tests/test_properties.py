@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sbchain import cli
+from sbchain import cli, markov_core
 from sbchain.markov_core import (
     DistributionVector,
     TransitionMatrix,
@@ -49,6 +49,7 @@ import fraction_oracle
 import record_oracle
 import sequence_oracle
 from test_markov_core import brute_force_irreducible, brute_force_period, mul
+from test_simulation import oracle_heads, oracle_trace
 
 
 @st.composite
@@ -222,6 +223,81 @@ class TestFractionOracle:
         assert [(row.distribution.weights, row.distance) for row in rows] == expected
         assert [row.n for row in rows] == list(range(1, n_max + 1))
         assert all(all_fractions(row.distribution.weights + (row.distance,)) for row in rows)
+
+
+def checked(fn, *args):
+    """What ``fn`` returns, or the type and message of the error it raises."""
+    try:
+        return fn(*args)
+    except (TypeError, ValueError) as exc:
+        return type(exc), str(exc)
+
+
+# 2^61 - 1 is prime, so an entry off by 1/P leaves a sum no small lcm can hide.
+P = 2**61 - 1
+
+
+@st.composite
+def written(draw, q):
+    """``q`` as a Fraction, an "a/b" string not always in lowest terms, or an int."""
+    scale = draw(st.integers(1, 4))
+    forms = [q, f"{q.numerator * scale}/{q.denominator * scale}"]
+    if q.denominator == 1:
+        forms += [q.numerator, str(q.numerator)]
+    return draw(st.sampled_from(forms))
+
+
+@st.composite
+def candidate_rows(draw):
+    """Rows of every kind the stochastic check meets: good, off by 1/P, out of
+    [0, 1], arbitrary, or holding one item that is not an exact rational."""
+    k = draw(st.integers(1, 6))
+    weights = draw(st.lists(st.integers(0, 10**6), min_size=k, max_size=k))
+    entries = [Fraction(w, sum(weights) or 1) for w in weights]
+    j = draw(st.integers(0, k - 1))
+    flaw = draw(st.sampled_from(["none", "off", "outside", "arbitrary", "item"]))
+    if flaw == "off":
+        entries[j] += draw(st.sampled_from([1, -1])) * Fraction(1, P)
+    elif flaw == "outside":
+        entries[j] = draw(st.sampled_from([Fraction(-1, P), 1 + Fraction(1, P), -2, 3]))
+        if draw(st.booleans()):
+            entries[(j + 1) % k] += Fraction(1) - sum(entries)
+    elif flaw == "arbitrary":
+        entries = [Fraction(draw(st.integers(-3, 7)), draw(st.integers(1, 5))) for _ in entries]
+    row = [draw(written(Fraction(e))) for e in entries]
+    if flaw == "item":
+        row[j] = draw(st.sampled_from([0.5, True, None, "0.5", "1/0", "1/-2", "\u0661/\u0662"]))
+    return row
+
+
+@st.composite
+def wide_distributions(draw, k):
+    weights = draw(st.lists(st.integers(0, 10**12), min_size=k, max_size=k))
+    if sum(weights) == 0:
+        weights[draw(st.integers(0, k - 1))] = 1
+    return DistributionVector([Fraction(w, sum(weights)) for w in weights])
+
+
+class TestIntegerCheckOracle:
+    """The integer stochastic check and TV distance equal the Fraction ones."""
+
+    @given(candidate_rows(), st.sampled_from(["row 0", "distribution"]))
+    def test_stochastic(self, row, name):
+        got = checked(markov_core._stochastic, row, name)
+        assert got == checked(fraction_oracle.stochastic, row, name)
+
+    @given(candidate_rows())
+    def test_distribution_vector(self, row):
+        got = checked(lambda r: DistributionVector(r).weights, row)
+        assert got == checked(fraction_oracle.stochastic, row, "distribution")
+
+    @given(st.data(), st.integers(1, 6), st.sampled_from([0, 0, 0, 1]))
+    def test_total_variation_distance(self, data, k, extra):
+        p = data.draw(wide_distributions(k))
+        q = data.draw(wide_distributions(k + extra) | distributions(k + extra))
+        for a, b in [(p, q), (q, p)]:
+            got = checked(total_variation_distance, a, b)
+            assert got == checked(fraction_oracle.total_variation_distance, a, b)
 
 
 class TestSequenceProperties:
@@ -429,6 +505,27 @@ class TestRecordWriterOracle:
     @settings(deadline=None)
     def test_forced_record(self, coins, stride):
         assert_writers_match_oracle(forced_run(coins, checkpoint_stride=stride))
+
+
+# Any finite float. Hypothesis draws subnormals and extremes on its own; the
+# listed values also put the smallest and largest magnitudes into one f.
+finite_floats = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(
+    [5e-324, -5e-324, 2.2250738585072014e-308, 1e308, -1e308, 1.7976931348623157e308]
+)
+
+
+class TestLlnTraceOracle:
+    @given(st.data(), st.integers(0, 2**64 - 1), seeded_lengths, st.tuples(*[finite_floats] * 3))
+    @settings(max_examples=40, deadline=None)
+    def test_integer_averages_equal_fraction_formula(self, data, seed, n, values):
+        # At most 4096 checkpoints keep the Fraction oracle quick.
+        low = -(-2 * n // 4096)
+        stride = data.draw(st.integers(low, low + 100) | st.integers(low, 10**6), label="stride")
+        f = dict(zip((Awakening.M_H, Awakening.M_T, Awakening.TU), values))
+        trace = lln_trace(SimulationConfig(seed, n, stride), f)
+        expected = oracle_trace(oracle_heads(seed, n), stride, f)
+        assert trace.running_averages == expected
+        assert all(type(avg) is float for _, avg in trace.running_averages)
 
 
 # --- CLI boundary ---------------------------------------------------------------

@@ -1,3 +1,4 @@
+import sys
 from fractions import Fraction
 
 import pytest
@@ -29,6 +30,14 @@ class TestParseRational:
         with pytest.raises(ValueError, match="zero denominator"):
             parse_rational("1/0")
 
+    # Arabic-Indic 1/2 and 3, an ASCII/Arabic-Indic mix, fullwidth 1/2, Devanagari 1.
+    @pytest.mark.parametrize(
+        "text", ["\u0661/\u0662", "\u0663", "1/\u0662", "\uff11/\uff12", "\u0967"]
+    )
+    def test_rejects_non_ascii_digits(self, text):
+        with pytest.raises(ValueError, match="not an exact rational"):
+            parse_rational(text)
+
 
 class TestFormatRational:
     def test_lowest_terms(self):
@@ -40,6 +49,33 @@ class TestFormatRational:
     def test_round_trip(self):
         for q in (Fraction(3, 7), Fraction(-5, 9), Fraction(0), Fraction(4)):
             assert parse_rational(format_rational(q)) == q
+
+
+# 10**5001 + 7: above CPython's default int/str limit of 4300 digits, with a
+# long run of zeros where a split into decimal chunks needs its padding.
+BIG = "1" + "0" * 5000 + "7"
+
+
+class TestHugeRationals:
+    def test_format_above_ten_to_the_5000(self):
+        n = 10**5001 + 7
+        assert format_rational(Fraction(n)) == BIG
+        assert format_rational(Fraction(-n, 3)) == f"-{BIG}/3"
+        assert format_rational(Fraction(2, n)) == f"2/{BIG}"
+
+    def test_digits_of_a_power_of_two(self):
+        n = 2**20000
+        text = format_rational(Fraction(n))
+        assert len(text) == 6021  # floor(20000 log10 2) + 1
+        assert text[-60:] == str(n % 10**60).zfill(60)
+        assert int(text[:60]) == n // 10 ** (len(text) - 60)
+        assert sum(map(int, text)) % 9 == n % 9
+
+    def test_interpreter_limit_untouched(self):
+        get = getattr(sys, "get_int_max_str_digits", lambda: None)
+        before = get()
+        format_rational(Fraction(2**20000, 3))
+        assert get() == before
 
 
 class TestAsExact:
