@@ -7,50 +7,13 @@ per-experiment Heads frequency is 1/2 while the per-awakening Heads frequency
 is the stationary mass 1/3.
 """
 
-from .markov_core import (
-    Chain,
-    ConvergenceRow,
-    DimensionMismatch,
-    DistributionVector,
-    DuplicateState,
-    EmptyStateSpace,
-    ErgodicityReport,
-    MarkovError,
-    MissingInitialDistribution,
-    NonStochasticRow,
-    NotErgodic,
-    NotIrreducible,
-    StateSpace,
-    TransitionMatrix,
-    convergence_report,
-    ergodicity_report,
-    expectation,
-    is_aperiodic,
-    is_ergodic,
-    is_irreducible,
-    matrix_power,
-    n_step_distribution,
-    new_chain,
-    period,
-    stationary_distribution,
-    total_variation_distance,
-)
-from .rationals import as_exact, format_rational, parse_rational
-from .sbp_model import (
-    Awakening,
-    EmptyInput,
-    MalformedObservation,
-    Observation,
-    Toss,
-    UndeterminedSymbol,
-    decode_observations,
-    encode_coins,
-    exact_distribution,
-    project_labels,
-    sbp_chain,
-    validate_labeled_sequence,
-)
-# The simulation names load numpy, so they resolve on first use (PEP 562).
+from . import markov_core, rationals, sbp_model
+from .markov_core import *
+from .rationals import *
+from .sbp_model import *
+
+# The simulation names load numpy, so they resolve on first use (PEP 562);
+# they are listed here because reading them from the module would import it.
 _SIMULATION_NAMES = (
     "GENERATOR_NAME",
     "Checkpoint",
@@ -69,24 +32,7 @@ _SIMULATION_NAMES = (
     "state_frequencies",
     "thirder_statistic",
 )
-__all__ = [
-    # markov_core
-    "Chain", "ConvergenceRow", "DimensionMismatch", "DistributionVector",
-    "DuplicateState", "EmptyStateSpace", "ErgodicityReport", "MarkovError",
-    "MissingInitialDistribution", "NonStochasticRow", "NotErgodic", "NotIrreducible",
-    "StateSpace", "TransitionMatrix", "convergence_report", "ergodicity_report",
-    "expectation", "is_aperiodic", "is_ergodic", "is_irreducible", "matrix_power",
-    "n_step_distribution", "new_chain", "period", "stationary_distribution",
-    "total_variation_distance",
-    # rationals
-    "as_exact", "format_rational", "parse_rational",
-    # sbp_model
-    "Awakening", "EmptyInput", "MalformedObservation", "Observation", "Toss",
-    "UndeterminedSymbol", "decode_observations", "encode_coins", "exact_distribution",
-    "project_labels", "sbp_chain", "validate_labeled_sequence",
-    # simulation, resolved lazily
-    *_SIMULATION_NAMES,
-]
+__all__ = [*markov_core.__all__, *rationals.__all__, *sbp_model.__all__, *_SIMULATION_NAMES]
 
 __version__ = "0.1.0"
 

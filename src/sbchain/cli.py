@@ -63,6 +63,11 @@ def load_chain_spec(text: str) -> Chain:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ChainSpecError(f"invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}") from None
+    except ValueError:  # an integer literal past the interpreter's int/str digit limit
+        raise ChainSpecError(
+            f"invalid JSON: an integer has more than {sys.get_int_max_str_digits()} digits,"
+            " the interpreter's int/str conversion limit"
+        ) from None
     except RecursionError:
         raise ChainSpecError("invalid JSON: nested too deeply") from None
     if not isinstance(doc, dict):

@@ -27,7 +27,17 @@ from math import gcd, lcm
 from operator import mul
 from typing import NamedTuple, Sequence
 
-from .rationals import as_exact, require_int
+from .rationals import as_exact, format_rational, require_int
+
+__all__ = [
+    "Chain", "ConvergenceRow", "DimensionMismatch", "DistributionVector",
+    "DuplicateState", "EmptyStateSpace", "ErgodicityReport", "MarkovError",
+    "MissingInitialDistribution", "NonStochasticRow", "NotErgodic", "NotIrreducible",
+    "StateSpace", "TransitionMatrix", "convergence_report", "ergodicity_report",
+    "expectation", "is_aperiodic", "is_ergodic", "is_irreducible", "matrix_power",
+    "n_step_distribution", "new_chain", "period", "stationary_distribution",
+    "total_variation_distance",
+]
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -97,11 +107,11 @@ def _stochastic(values: Sequence[Fraction | int | str], name: str) -> tuple[Frac
     converted = tuple(as_exact(v) for v in values)
     for j, v in enumerate(converted):
         if not 0 <= v.numerator <= v.denominator:
-            raise NonStochasticRow(f"{name}, entry {j}: {v} outside [0, 1]")
+            raise NonStochasticRow(f"{name}, entry {j}: {format_rational(v)} outside [0, 1]")
     (numerators,), d = _scaled((converted,))
     total = sum(numerators)
     if total != d:
-        raise NonStochasticRow(f"{name} sums to {Fraction(total, d)}, expected 1")
+        raise NonStochasticRow(f"{name} sums to {format_rational(Fraction(total, d))}, expected 1")
     return converted
 
 

@@ -16,6 +16,8 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 
+__all__ = ["as_exact", "format_rational", "parse_rational"]
+
 # [0-9], not \d: \d also matches non-ASCII digits such as Arabic-Indic ones.
 _RATIONAL_RE = re.compile(r"^([+-]?[0-9]+)(?:/([0-9]+))?$")
 

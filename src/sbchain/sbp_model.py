@@ -26,6 +26,12 @@ from typing import Iterable, Sequence
 from .markov_core import Chain, DistributionVector, new_chain
 from .rationals import require_int
 
+__all__ = [
+    "Awakening", "EmptyInput", "MalformedObservation", "Observation", "Toss",
+    "UndeterminedSymbol", "decode_observations", "encode_coins", "exact_distribution",
+    "project_labels", "sbp_chain", "validate_labeled_sequence",
+]
+
 STATE_LABELS = ("M_H", "M_T", "Tu")
 
 

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from dataclasses import asdict, dataclass
 from itertools import repeat
-from operator import is_
+from operator import add, eq, is_, le, lt, sub, truediv
 from typing import Iterable, Iterator, Mapping, NamedTuple
 
 import json
@@ -339,16 +339,13 @@ def _parse_checkpoints(columns: list[list]) -> tuple[Checkpoint, ...]:
         raise ValueError("checkpoint experiments and awakenings must be ints")
     if not set(map(type, halfer)) | set(map(type, thirder)) <= {float}:
         raise ValueError("checkpoint halfer and thirder must be floats")
-    try:
-        m, a = (np.array(col, dtype=np.int64) for col in (exps, wakes))
-    except OverflowError:
-        raise ValueError("checkpoint counts must fit in 64 bits") from None
-    if m[0] < 1 or m[-1] > 2**53 or np.any(m[1:] <= m[:-1]):
+    if exps[0] < 1 or exps[-1] > 2**53 or not all(map(lt, exps, exps[1:])):
         raise ValueError("checkpoint experiments must strictly increase within [1, 2**53]")
-    if np.any((a < m) | (a > 2 * m)):
+    if not (all(map(le, exps, wakes)) and all(map(le, wakes, map(add, exps, exps)))):
         raise ValueError("checkpoint awakenings must lie in [m, 2m]")
-    h = 2 * m - a
-    if not (np.array_equal(halfer, h / m) and np.array_equal(thirder, h / a)):
+    heads = list(map(sub, map(add, exps, exps), wakes))
+    if not (all(map(eq, halfer, map(truediv, heads, exps)))
+            and all(map(eq, thirder, map(truediv, heads, wakes)))):
         raise ValueError("checkpoint halfer/thirder must equal h/m and h/awakenings")
     return _make_checkpoints(exps, wakes)
 

@@ -138,6 +138,25 @@ class TestAnalyze:
         assert "invalid chain" in err
         assert "row 1 sums to 2/3" in err
 
+    def test_huge_sum_exits_3(self, capsys, tmp_path):
+        # Each denominator converts, but the sum's denominator has 6001 digits.
+        spec = tmp_path / "huge.json"
+        row = [f"1/{10**3000 + 1}", f"1/{10**3000 + 3}"]
+        spec.write_text(json.dumps({"states": ["a", "b"], "matrix": [row, [0, 1]]}))
+        code, out, err = run_cli(capsys, "analyze", "--chain", str(spec))
+        assert code == EXIT_INVALID_CHAIN
+        assert out == ""
+        assert "row 0 sums to 2" in err
+
+    def test_integer_past_digit_limit_exits_2(self, capsys, tmp_path):
+        spec = tmp_path / "long.json"
+        spec.write_text('{"states": ["a"], "matrix": [[1%s]]}' % ("0" * 4400))
+        code, out, err = run_cli(capsys, "analyze", "--chain", str(spec))
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert "invalid JSON: an integer has more than" in err
+        assert "set_int_max_str_digits" not in err
+
     def test_malformed_json_exits_2(self, capsys, tmp_path):
         spec = tmp_path / "broken.json"
         spec.write_text('{"states": ')

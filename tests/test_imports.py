@@ -1,7 +1,7 @@
 """What importing sbchain loads: numpy only once a simulation name is used.
 
-Each case runs in a fresh interpreter, since an earlier test in this process
-has long since imported numpy.
+Each case that watches numpy runs in a fresh interpreter, since an earlier
+test in this process has long since imported numpy.
 """
 
 import json
@@ -100,6 +100,16 @@ def test_star_import_binds_every_public_name():
     missing, names = json.loads(out)
     assert missing == []
     assert set(names) == PUBLIC_NAMES
+
+
+def test_all_lists_each_module_name_once():
+    import sbchain
+    from sbchain import markov_core, rationals, sbp_model
+
+    names = [*markov_core.__all__, *rationals.__all__, *sbp_model.__all__]
+    assert sbchain.__all__ == [*names, *sbchain._SIMULATION_NAMES]
+    # A name in two lists would let one star import shadow another.
+    assert len(set(sbchain.__all__)) == len(sbchain.__all__)
 
 
 def test_dir_lists_the_lazy_names_before_they_load():

@@ -145,6 +145,19 @@ class TestConstruction:
         with pytest.raises(NonStochasticRow):
             DistributionVector([Fraction(3, 2), Fraction(-1, 2)])
 
+    @pytest.mark.parametrize(
+        "weights, message",
+        [
+            ([Fraction(10**5000 + 1, 10**5000), 0], "distribution, entry 0: 1{z}1/1{z}0 outside"),
+            ([Fraction(1, 10**5000)] * 2, "distribution sums to 1/5{z}, expected 1"),
+        ],
+    )
+    def test_huge_entries_in_messages(self, weights, message):
+        # Past the interpreter's int/str digit limit, str() of these raises.
+        with pytest.raises(NonStochasticRow) as caught:
+            DistributionVector(weights)
+        assert message.format(z="0" * 4999) in str(caught.value)
+
     def test_string_entries_accepted(self):
         matrix = TransitionMatrix([["1/2", "1/2"], ["1/3", "2/3"]])
         assert matrix.rows[1][0] == THIRD

@@ -23,16 +23,6 @@ def run_script(name, *args):
     return proc.stdout.splitlines()
 
 
-def test_convergence_table():
-    lines = run_script("convergence_table.py", "--n-max", "3")
-    assert lines == [
-        "   n            P(M_H)            P(M_T)             P(Tu)  tv to stationary",
-        "   1               1/2               1/2                 0  1/3",
-        "   2               1/4               1/4               1/2  1/6",
-        "   3               3/8               3/8               1/4  1/12",
-    ]
-
-
 def test_frequency_sweep():
     lines = run_script("frequency_sweep.py", "--seeds", "2", "--n", "1000")
     assert lines[0].split() == ["seed", "halfer", "dev", "thirder", "dev"]

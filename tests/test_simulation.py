@@ -314,6 +314,7 @@ class TestRecordFromJson:
             pytest.param(("checkpoints", 0, "halfer"), "0.5", id="str-halfer"),
             pytest.param(("checkpoints", 0, "thirder"), 0, id="int-thirder"),
             pytest.param(("checkpoints", 0, "experiments"), 2**64, id="huge-mark"),
+            pytest.param(("checkpoints", 0, "awakenings"), 2**64, id="huge-awakenings"),
             pytest.param(("config",), [0, 5, 2], id="list-config"),
             pytest.param(("config",), {"seed": 0, "n_experiments": 5}, id="short-config"),
             pytest.param(("config",), {"seed": 0, "n_experiments": 5,
@@ -359,6 +360,25 @@ class TestRecordFromJson:
         doc["checkpoints"][1] = dict(doc["checkpoints"][0])
         with pytest.raises(ValueError, match="strictly increase"):
             self.load(doc)
+
+    def test_zero_mark_rejected(self):
+        doc = self.doc()
+        doc["checkpoints"][0].update(experiments=0, awakenings=0)
+        with pytest.raises(ValueError, match=r"within \[1, 2\*\*53\]"):
+            self.load(doc)
+
+    @pytest.mark.parametrize("m", [2**53 + 1, 2**64])
+    def test_marks_above_2_to_53_rejected(self, m):
+        text = record_to_json(SimulationRecord(None, (Checkpoint(m, m + 1),)))
+        with pytest.raises(ValueError, match=r"within \[1, 2\*\*53\]"):
+            record_from_json(text)
+
+    @pytest.mark.parametrize("awakenings", [2**53, 2**53 + 3, 2**54 - 1, 2**54])
+    def test_round_trip_at_2_to_53(self, awakenings):
+        # Counts past 2**53 are not all floats, so h/a must be divided exactly
+        # as the writer divides them, on ints.
+        record = SimulationRecord(None, (Checkpoint(2**53, awakenings),))
+        assert record_from_json(record_to_json(record)) == record
 
     def test_marks_must_match_config(self):
         doc = self.seeded_doc()
