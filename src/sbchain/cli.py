@@ -21,6 +21,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import replace
 from fractions import Fraction
 
 from . import markov_core, sbp_model
@@ -141,50 +142,52 @@ def cmd_analyze(args) -> int:
     return EXIT_OK
 
 
+# One row of `exact --format json` as json.dumps(rows, indent=2) lays it
+# out; rationals print as digits, "-" and "/", which json never escapes.
+_EXACT_JSON_ROW = (
+    '  {\n    "n": %d,\n    "recursion": [\n      "%s"\n    ],\n'
+    '    "closed_form": [\n      "%s"\n    ],\n    "equal": %s,\n'
+    '    "tv_to_stationary": "%s"\n  }'
+)
+_EXACT_TEXT_ROW = "{:>4}  {:<28}  {:<28}  {:<6}  {}"
+# Per format: the text before the first row, between two rows, and after the last.
+_EXACT_FRAME = {
+    "json": ("[\n", ",\n", "\n]\n"),
+    "csv": ("n,recursion,closed_form,equal,tv_to_stationary\n", "\n", "\n"),
+    "text": (
+        _EXACT_TEXT_ROW.format("n", "recursion", "closed form", "equal", "tv to stationary\n"),
+        "\n",
+        "\n",
+    ),
+}
+
+
+def _exact_row(fmt: str, n: int, rec, clo, equal: bool, tv: Fraction) -> str:
+    eq, tv = str(equal).lower(), format_rational(tv)
+    if fmt == "json":
+        rec, clo = ('",\n      "'.join(map(format_rational, d.weights)) for d in (rec, clo))
+        return _EXACT_JSON_ROW % (n, rec, clo, eq, tv)
+    if fmt == "csv":
+        rec, clo = (" ".join(map(format_rational, d.weights)) for d in (rec, clo))
+        return f"{n},{rec},{clo},{eq},{tv}"
+    return _EXACT_TEXT_ROW.format(n, _format_distribution(rec), _format_distribution(clo), eq, tv)
+
+
 def cmd_exact(args) -> int:
     if args.n_max < 1:
         print(f"error: --n-max must be >= 1, got {args.n_max}", file=sys.stderr)
         return EXIT_USAGE
-    chain = sbp_model.sbp_chain()
-    rows = markov_core.convergence_report(chain, args.n_max)
-    table = []
+    rows = markov_core._convergence_rows(sbp_model.sbp_chain(), args.n_max)
+    prefix, separator, suffix = _EXACT_FRAME[args.format]
+    # Each row is written as soon as it is made, so memory stays one row.
     all_equal = True
     for n, recursion, distance in rows:
         closed = sbp_model.exact_distribution(n)
         equal = recursion == closed
         all_equal &= equal
-        table.append((n, recursion, closed, equal, distance))
-    if args.format == "json":
-        doc = [
-            {
-                "n": n,
-                "recursion": [format_rational(w) for w in rec.weights],
-                "closed_form": [format_rational(w) for w in clo.weights],
-                "equal": eq,
-                "tv_to_stationary": format_rational(tv),
-            }
-            for n, rec, clo, eq, tv in table
-        ]
-        print(json.dumps(doc, indent=2))
-    elif args.format == "csv":
-        print("n,recursion,closed_form,equal,tv_to_stationary")
-        for n, rec, clo, eq, tv in table:
-            rec_s = " ".join(format_rational(w) for w in rec.weights)
-            clo_s = " ".join(format_rational(w) for w in clo.weights)
-            print(f"{n},{rec_s},{clo_s},{str(eq).lower()},{format_rational(tv)}")
-    else:
-        widths = (4, 28, 28, 6)
-        header = (
-            f"{'n':>{widths[0]}}  {'recursion':<{widths[1]}}  "
-            f"{'closed form':<{widths[2]}}  {'equal':<{widths[3]}}  tv to stationary"
-        )
-        print(header)
-        for n, rec, clo, eq, tv in table:
-            print(
-                f"{n:>{widths[0]}}  {_format_distribution(rec):<{widths[1]}}  "
-                f"{_format_distribution(clo):<{widths[2]}}  "
-                f"{str(eq).lower():<{widths[3]}}  {format_rational(tv)}"
-            )
+        sys.stdout.write(prefix + _exact_row(args.format, n, recursion, closed, equal, distance))
+        prefix = separator
+    sys.stdout.write(suffix)
     if not all_equal:
         print(
             "error: closed form and matrix recursion disagree", file=sys.stderr
@@ -202,12 +205,15 @@ def cmd_simulate(args) -> int:
         n_experiments=args.n,
         checkpoint_stride=args.stride,
     )
-    record = simulation.run_simulation(config)
-    if args.format == "json":
-        print(simulation.record_to_json(record))
-    elif args.format == "csv":
-        sys.stdout.write(simulation.record_to_csv(record))
+    if args.format != "text":
+        sys.stdout.writelines(simulation._record_chunks(config, args.format))
+        if args.format == "json":
+            sys.stdout.write("\n")
     else:
+        # The summary reads only the totals, which one checkpoint at n holds.
+        record = simulation.run_simulation(
+            replace(config, checkpoint_stride=config.n_experiments)
+        )
         freq = simulation.state_frequencies(record)
         print(f"generator:          {record.generator}")
         print(f"seed:               {config.seed}")

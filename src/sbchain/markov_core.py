@@ -25,9 +25,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 from operator import mul
-from typing import NamedTuple, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
-from .rationals import as_exact, format_rational, require_int
+from .rationals import _decimal, as_exact, format_rational, require_int
 
 __all__ = [
     "Chain", "ConvergenceRow", "DimensionMismatch", "DistributionVector",
@@ -255,7 +255,7 @@ def matrix_power(matrix: TransitionMatrix, n: int) -> TransitionMatrix:
     """Exact n-th matrix power; n = 0 gives the identity."""
     require_int("n", n)
     if n < 0:
-        raise ValueError(f"matrix power needs n >= 0, got {n}")
+        raise ValueError(f"matrix power needs n >= 0, got {_decimal(n)}")
     k = matrix.dimension
     if n == 0:
         return TransitionMatrix([[ONE if i == j else ZERO for j in range(k)] for i in range(k)])
@@ -276,7 +276,7 @@ def n_step_distribution(chain: Chain, n: int) -> DistributionVector:
         )
     require_int("n", n)
     if n < 1:
-        raise ValueError(f"step index must be >= 1, got {n}")
+        raise ValueError(f"step index must be >= 1, got {_decimal(n)}")
     a, d = _scaled(chain.matrix.rows)
     w, d0 = _scaled((chain.initial.weights,))
     (weights,) = _times_power(w, a, n - 1)
@@ -440,20 +440,25 @@ def convergence_report(chain: Chain, n_max: int) -> list[ConvergenceRow]:
     One row per n in 1..n_max. Requires an ergodic matrix (so the stationary
     distribution is the limit) and an initial distribution to start from.
     """
+    return list(_convergence_rows(chain, n_max))
+
+
+def _convergence_rows(chain: Chain, n_max: int) -> Iterator[ConvergenceRow]:
+    """The rows of :func:`convergence_report`, one at a time; every check runs
+    before the first, so a caller writing rows as they come writes none."""
     if _structure(chain.matrix) != 1:
         raise NotErgodic("convergence report requires an ergodic transition matrix")
     if chain.initial is None:
         raise MissingInitialDistribution("convergence report needs an initial distribution")
     require_int("n_max", n_max)
     if n_max < 1:
-        raise ValueError(f"n_max must be >= 1, got {n_max}")
+        raise ValueError(f"n_max must be >= 1, got {_decimal(n_max)}")
     (p,), q = _scaled((_stationary(chain.matrix).weights,))
     a, d = _scaled(chain.matrix.rows)
     (w,), den = _scaled((chain.initial.weights,))
-    rows = [ConvergenceRow(1, chain.initial, _tv(w, den, p, q))]
+    yield ConvergenceRow(1, chain.initial, _tv(w, den, p, q))
     for n in range(2, n_max + 1):
         (w,) = _int_mul((w,), a)
         den *= d
         current = DistributionVector([Fraction(x, den) for x in w])
-        rows.append(ConvergenceRow(n, current, _tv(w, den, p, q)))
-    return rows
+        yield ConvergenceRow(n, current, _tv(w, den, p, q))

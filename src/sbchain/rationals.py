@@ -6,9 +6,9 @@ lowest terms, positive denominator); the Markov core runs its products and
 solves on integer numerators over one common denominator, and no float is
 used anywhere. This module owns the text representation used by the
 CLI and the chain-spec JSON format: ``"a/b"`` or ``"a"`` with integer parts
-only, in ASCII digits. Output is exact for integers of any size, whatever
-int/str digit limit the interpreter sets. Floats and booleans are rejected
-everywhere an exact value is expected.
+only, in ASCII digits. Parsing and output are exact for integers of any
+size, whatever int/str digit limit the interpreter sets. Floats and booleans
+are rejected everywhere an exact value is expected.
 """
 
 from __future__ import annotations
@@ -33,10 +33,10 @@ def parse_rational(text: str) -> Fraction:
         raise ValueError(
             f"not an exact rational: {text!r} (expected 'a/b' or 'a' with integer parts)"
         )
-    numerator = int(match.group(1))
+    numerator = _integer(match.group(1))
     if match.group(2) is None:
         return Fraction(numerator)
-    denominator = int(match.group(2))
+    denominator = _integer(match.group(2))
     if denominator == 0:
         raise ValueError(f"zero denominator in rational: {text!r}")
     return Fraction(numerator, denominator)
@@ -61,6 +61,18 @@ def _decimal(n: int) -> str:
         k = n.bit_length() * 3 // 20  # about half the digits: log10(2) > 3/10
         high, low = divmod(n, 10**k)
         return _decimal(high) + _decimal(low).zfill(k)
+
+
+def _integer(text: str) -> int:
+    """``int(text)`` for an optionally signed run of ASCII digits, split into
+    halves while it is too long for int; the inverse of :func:`_decimal`."""
+    try:
+        return int(text)
+    except ValueError:  # more digits than the interpreter's int/str limit
+        if text[0] == "-":
+            return -_integer(text[1:])
+        k = len(text) // 2
+        return _integer(text[:-k]) * 10**k + _integer(text[-k:])
 
 
 def as_exact(value: Fraction | int | str) -> Fraction:

@@ -24,7 +24,7 @@ from fractions import Fraction
 from typing import Iterable, Sequence
 
 from .markov_core import Chain, DistributionVector, new_chain
-from .rationals import require_int
+from .rationals import _decimal, require_int
 
 __all__ = [
     "Awakening", "EmptyInput", "MalformedObservation", "Observation", "Toss",
@@ -95,7 +95,7 @@ def exact_distribution(n: int) -> DistributionVector:
     """
     require_int("n", n)
     if n < 1:
-        raise ValueError(f"awakening index must be >= 1, got {n}")
+        raise ValueError(f"awakening index must be >= 1, got {_decimal(n)}")
     sign = 1 if n % 2 == 1 else -1
     monday = Fraction(1, 3) + Fraction(sign, 3 * 2**n)
     tuesday = Fraction(1, 3) - Fraction(sign, 3 * 2 ** (n - 1))

@@ -28,7 +28,7 @@ import numbers
 
 import numpy as np
 
-from .rationals import require_int
+from .rationals import _decimal, require_int
 from .sbp_model import Awakening, EmptyInput, Toss, parse_coin_tokens
 
 GENERATOR_NAME = "philox4x64"
@@ -49,13 +49,10 @@ class SimulationConfig:
         for name in ("seed", "n_experiments", "checkpoint_stride"):
             require_int(name, getattr(self, name))
         if not 0 <= self.seed < 2**64:
-            raise ValueError(f"seed must be a 64-bit unsigned integer, got {self.seed}")
-        if self.n_experiments < 1:
-            raise ValueError(f"n_experiments must be >= 1, got {self.n_experiments}")
-        if self.checkpoint_stride < 1:
-            raise ValueError(
-                f"checkpoint_stride must be >= 1, got {self.checkpoint_stride}"
-            )
+            raise ValueError(f"seed must be a 64-bit unsigned integer, got {_decimal(self.seed)}")
+        for name in ("n_experiments", "checkpoint_stride"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1, got {_decimal(getattr(self, name))}")
 
 
 class StateCounts(NamedTuple):
@@ -148,24 +145,21 @@ def _seeded_blocks(config: SimulationConfig) -> Iterator[np.ndarray]:
 
 
 def _checkpoint_marks(total: int, stride: int) -> list[int]:
-    marks = list(range(stride, total + 1, stride))
-    if not marks or marks[-1] != total:
-        marks.append(total)
-    return marks
+    return [*range(stride, total, stride), total]
 
 
 def _fold(
     blocks: Iterable[np.ndarray], stride: int, per_awakening: bool = False
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
     """Walk the toss blocks once, reading running Heads counts at marks.
 
     Marks sit at every ``stride``-th experiment, or awakening if
-    ``per_awakening``, plus the last one. Returns per mark q: q, the number
-    m of experiments complete within the first q units, and their Heads count
-    h(m). After m experiments there have been a(m) = 2m - h(m) awakenings; an
-    awakening mark with a(m) < q stops on the Monday of Tails experiment m + 1.
+    ``per_awakening``, plus the last one. Yields, for each block that holds
+    marks, int64 arrays over its marks q: q, the number m of experiments
+    complete within the first q units, and their Heads count h(m). After m
+    experiments there have been a(m) = 2m - h(m) awakenings; an awakening mark
+    with a(m) < q stops on the Monday of Tails experiment m + 1.
     """
-    marks, done, heads = [], [], []
     m0 = h0 = c0 = 0
     for block in blocks:
         m1 = m0 + len(block)
@@ -179,15 +173,10 @@ def _fold(
                 i = np.searchsorted(2 * np.arange(m0 + 1, m1 + 1) - h, q, side="right")
             else:
                 i = q - m0
-            marks.append(q)
-            done.append(i + m0)
-            heads.append(np.where(i > 0, h[i - 1], h0))
+            yield q, i + m0, np.where(i > 0, h[i - 1], h0)
         m0, h0, c0 = m1, h1, c1
     if c0 % stride:
-        marks.append([c0])
-        done.append([m0])
-        heads.append([h0])
-    return np.concatenate(marks), np.concatenate(done), np.concatenate(heads)
+        yield np.array([c0]), np.array([m0]), np.array([h0])
 
 
 def _make_checkpoints(experiments: list[int], awakenings: list[int]) -> tuple[Checkpoint, ...]:
@@ -199,7 +188,7 @@ def _make_checkpoints(experiments: list[int], awakenings: list[int]) -> tuple[Ch
 def _record(
     blocks: Iterable[np.ndarray], stride: int, config: SimulationConfig | None = None
 ) -> SimulationRecord:
-    _, m, h = _fold(blocks, stride)
+    _, m, h = map(np.concatenate, zip(*_fold(blocks, stride)))
     return SimulationRecord(config, _make_checkpoints(m.tolist(), (2 * m - h).tolist()))
 
 
@@ -217,7 +206,7 @@ def forced_run(
         raise EmptyInput("cannot run a simulation on an empty coin sequence")
     require_int("checkpoint_stride", checkpoint_stride)
     if checkpoint_stride < 1:
-        raise ValueError(f"checkpoint_stride must be >= 1, got {checkpoint_stride}")
+        raise ValueError(f"checkpoint_stride must be >= 1, got {_decimal(checkpoint_stride)}")
     heads = np.fromiter(map(is_, tosses, repeat(Toss.HEADS)), np.uint8, len(tosses))
     return _record([heads], checkpoint_stride)
 
@@ -234,12 +223,7 @@ def thirder_statistic(record: SimulationRecord) -> float:
 
 def state_frequencies(record: SimulationRecord) -> tuple[float, float, float]:
     """Occupation frequency of (M_H, M_T, Tu) in the awakening stream."""
-    total = record.total_awakenings
-    return (
-        record.state_counts.m_h / total,
-        record.state_counts.m_t / total,
-        record.state_counts.tu / total,
-    )
+    return tuple(count / record.total_awakenings for count in record.state_counts)
 
 
 def _finite(name: str, value) -> float:
@@ -274,7 +258,8 @@ def lln_trace(config: SimulationConfig, f: Mapping[Awakening, float]) -> LLNTrac
     ratios = [v.as_integer_ratio() for v in f_values]
     e = max(den for _, den in ratios)
     a, b, c = (num * (e // den) for num, den in ratios)
-    q, m, h = _fold(_seeded_blocks(config), config.checkpoint_stride, per_awakening=True)
+    folded = _fold(_seeded_blocks(config), config.checkpoint_stride, per_awakening=True)
+    q, m, h = map(np.concatenate, zip(*folded))
     # h Heads Mondays and m - h Tuesdays; the other q - m awakenings are Tails Mondays.
     counts = zip(q.tolist(), h.tolist(), (q - m).tolist(), (m - h).tolist())
     averages = tuple((n, (mh * a + mt * b + tu * c) / (n * e)) for n, mh, mt, tu in counts)
@@ -312,19 +297,24 @@ _JSON_ROW = (
     '    {\n      "experiments": %d,\n      "awakenings": %d,\n'
     '      "halfer": %r,\n      "thirder": %r\n    }'
 )
+_JSON_TAIL = "\n  ]\n}"
 
 
-def record_to_json(record: SimulationRecord) -> str:
+def _json_head(record: SimulationRecord) -> str:
     # The header is small and goes through json, so _header stays the schema;
     # json's pure-Python indent encoder is far too slow for 1e5+ rows.
     head = json.dumps({**_header(record), "checkpoints": []}, indent=2)
-    head = head.removesuffix("[]\n}")
-    rows = ",\n".join([
-        _JSON_ROW % (m, a, h / m, h / a)
-        for m, a in record.checkpoints
-        for h in (2 * m - a,)
+    return head.removesuffix("[]\n}") + "[\n"
+
+
+def _json_rows(checkpoints: Iterable[tuple[int, int]]) -> str:
+    return ",\n".join([
+        _JSON_ROW % (m, a, h / m, h / a) for m, a in checkpoints for h in (2 * m - a,)
     ])
-    return f"{head}[\n{rows}\n  ]\n}}"
+
+
+def record_to_json(record: SimulationRecord) -> str:
+    return f"{_json_head(record)}{_json_rows(record.checkpoints)}{_JSON_TAIL}"
 
 
 _CHECKPOINT_FIELDS = ("experiments", "awakenings", "halfer", "thirder")
@@ -398,9 +388,12 @@ def record_from_json(text: str) -> SimulationRecord:
     return record
 
 
-def record_to_csv(record: SimulationRecord) -> str:
-    lines = ["experiments,awakenings,halfer,thirder,freq_MH,freq_MT,freq_TU\n"]
-    for m, a in record.checkpoints:
+_CSV_HEADER = "experiments,awakenings,halfer,thirder,freq_MH,freq_MT,freq_TU\n"
+
+
+def _csv_rows(checkpoints: Iterable[tuple[int, int]]) -> str:
+    lines = []
+    for m, a in checkpoints:
         heads = 2 * m - a
         freq_heads = f"{heads / a:.6f}"
         freq_tails = f"{(m - heads) / a:.6f}"
@@ -409,3 +402,34 @@ def record_to_csv(record: SimulationRecord) -> str:
             f"{freq_heads},{freq_tails},{freq_tails}\n"
         )
     return "".join(lines)
+
+
+def record_to_csv(record: SimulationRecord) -> str:
+    return _CSV_HEADER + _csv_rows(record.checkpoints)
+
+
+def _record_chunks(config: SimulationConfig, fmt: str) -> Iterator[str]:
+    """``record_to_json`` or ``record_to_csv`` (``fmt`` "json" or "csv") of
+    ``run_simulation(config)``, rendered at most one block of rows at a time."""
+    blocks = (
+        (m, 2 * m - h) for _, m, h in _fold(_seeded_blocks(config), config.checkpoint_stride)
+    )
+    if fmt == "csv":
+        yield _CSV_HEADER
+        for m, a in blocks:
+            yield _csv_rows(zip(m.tolist(), a.tolist()))
+        return
+    # The header needs the totals before any row, so JSON keeps every (m, a)
+    # as int64 pairs, 16 B a checkpoint, packed as they come: a second Philox
+    # pass would cost more, and per-block arrays ~300 B when a block has one.
+    packed = bytearray()
+    for m, a in blocks:
+        packed += np.column_stack((m, a)).tobytes()
+    pairs = np.frombuffer(packed, np.int64).reshape(-1, 2)
+    yield _json_head(SimulationRecord(config, (Checkpoint(*pairs[-1].tolist()),)))
+    for start in range(0, len(pairs), BLOCK_SIZE):
+        if start:
+            yield ",\n"
+        m, a = pairs[start:start + BLOCK_SIZE].T.tolist()
+        yield _json_rows(zip(m, a))
+    yield _JSON_TAIL

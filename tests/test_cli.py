@@ -157,6 +157,15 @@ class TestAnalyze:
         assert "invalid JSON: an integer has more than" in err
         assert "set_int_max_str_digits" not in err
 
+    def test_rational_part_past_digit_limit_exits_3(self, capsys, tmp_path):
+        # The cell parses to 1/10**4400, so the row fails as a chain, not as text.
+        spec = tmp_path / "long.json"
+        spec.write_text(json.dumps({"states": ["a"], "matrix": [["1/1" + "0" * 4400]]}))
+        code, out, err = run_cli(capsys, "analyze", "--chain", str(spec))
+        assert code == EXIT_INVALID_CHAIN
+        assert out == ""
+        assert err == f"error: invalid chain: row 0 sums to 1/1{'0' * 4400}, expected 1\n"
+
     def test_malformed_json_exits_2(self, capsys, tmp_path):
         spec = tmp_path / "broken.json"
         spec.write_text('{"states": ')

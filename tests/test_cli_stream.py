@@ -1,0 +1,172 @@
+"""What the CLI writes as it goes: the library writers' bytes, in bounded memory."""
+
+import contextlib
+import hashlib
+import io
+import json
+import os
+import runpy
+import subprocess
+import sys
+import tracemalloc
+from pathlib import Path
+
+import pytest
+
+from sbchain import cli, sbp_model, simulation
+from sbchain.markov_core import convergence_report
+from sbchain.rationals import format_rational
+from sbchain.sbp_model import exact_distribution, sbp_chain
+from sbchain.simulation import (
+    BLOCK_SIZE,
+    SimulationConfig,
+    record_to_csv,
+    record_to_json,
+    run_simulation,
+)
+
+ROOT = Path(__file__).resolve().parent.parent
+
+# Three full blocks and 7 experiments of a fourth, so marks fall on both sides
+# of every block edge; stride 7 divides neither n nor the block size.
+N = 3 * BLOCK_SIZE + 7
+CASES = [
+    *((seed, n, stride) for seed in range(10) for n, stride in ((N, 7), (N, N), (1000, 1))),
+    (0, N, 1),
+    (3, N, 2 * N),
+]
+
+
+def cli_stdout(*argv: str) -> str:
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert cli.main(list(argv)) == cli.EXIT_OK
+    return out.getvalue()
+
+
+class TestStreamedSimulate:
+    @pytest.mark.parametrize("seed, n, stride", CASES)
+    @pytest.mark.parametrize(
+        "fmt, writer",
+        [("csv", record_to_csv), ("json", lambda record: record_to_json(record) + "\n")],
+        ids=["csv", "json"],
+    )
+    def test_equals_library_writer(self, fmt, writer, seed, n, stride):
+        expected = writer(run_simulation(SimulationConfig(seed, n, stride)))
+        argv = ("--seed", str(seed), "--n", str(n), "--stride", str(stride))
+        assert cli_stdout("simulate", *argv, "--format", fmt) == expected
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_text_summary_ignores_stride(self, seed):
+        argv = ("simulate", "--seed", str(seed), "--n", str(N))
+        assert cli_stdout(*argv, "--stride", "7") == cli_stdout(*argv, "--stride", str(N))
+
+
+class TestStreamedExact:
+    def test_json_is_json_dumps_of_the_rows(self):
+        rows = convergence_report(sbp_chain(), 40)
+        doc = [
+            {
+                "n": n,
+                "recursion": [format_rational(w) for w in rec.weights],
+                "closed_form": [format_rational(w) for w in exact_distribution(n).weights],
+                "equal": True,
+                "tv_to_stationary": format_rational(tv),
+            }
+            for n, rec, tv in rows
+        ]
+        assert cli_stdout("exact", "--n-max", "40", "--format", "json") == json.dumps(
+            doc, indent=2
+        ) + "\n"
+
+    @pytest.mark.parametrize("fmt", ["text", "json", "csv"])
+    def test_mismatch_exits_4_after_every_row(self, fmt, monkeypatch, capsys):
+        def wrong_at_3(n):
+            return exact_distribution(1 if n == 3 else n)
+
+        monkeypatch.setattr(sbp_model, "exact_distribution", wrong_at_3)
+        assert cli.main(["exact", "--n-max", "5", "--format", fmt]) == cli.EXIT_INTERNAL
+        out, err = capsys.readouterr()
+        assert err == "error: closed form and matrix recursion disagree\n"
+        if fmt == "json":
+            equal = [row["equal"] for row in json.loads(out)]
+        else:
+            equal = ["false" not in line for line in out.splitlines()[1:]]
+        assert equal == [True, True, False, True, True]
+
+
+def test_json_keeps_16_bytes_a_checkpoint(monkeypatch):
+    # One mark per block, as at any stride of BLOCK_SIZE or more: per-block
+    # arrays would hold about 300 B a checkpoint.
+    monkeypatch.setattr(simulation, "BLOCK_SIZE", 16)
+
+    def kept(checkpoints):
+        chunks = simulation._record_chunks(SimulationConfig(1, 16 * checkpoints, 16), "json")
+        tracemalloc.start()
+        try:
+            next(chunks)  # the whole fold runs before the header
+            return tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+
+    kept(100)  # first-use allocations inside numpy and json
+    small = kept(1000)
+    assert (kept(3000) - small) / 2000 < 64
+
+
+# Read, never imported, so that nothing is written under bench/.
+BENCH_CLI = runpy.run_path(str(ROOT / "bench" / "spec.py"))["CLI"]
+
+
+@pytest.mark.parametrize("workload", sorted(BENCH_CLI))
+def test_benchmark_cli_digest(workload):
+    argv, digest = BENCH_CLI[workload]
+    assert hashlib.sha256(cli_stdout(*argv).encode()).hexdigest() == digest
+
+
+# A child's ru_maxrss starts from the peak of the process that spawned it, and
+# this test process is far larger than the runs it measures. So a fresh
+# interpreter, small when it spawns, runs sbchain and reports what wait4 gives.
+LAUNCHER = """
+import os, sys
+argv = [sys.executable, "-m", "sbchain", *sys.argv[1:]]
+out = [(os.POSIX_SPAWN_OPEN, 1, os.devnull, os.O_WRONLY, 0)]
+_, status, usage = os.wait4(os.posix_spawn(sys.executable, argv, os.environ, file_actions=out), 0)
+print(os.waitstatus_to_exitcode(status), usage.ru_maxrss)
+"""
+
+
+def peak_rss_mb(*argv: str) -> float:
+    """Peak RSS of ``python -m sbchain *argv`` run to completion, stdout discarded."""
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-c", LAUNCHER, *argv],
+        env={**os.environ, "PYTHONPATH": path},
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    code, kib = map(int, done.stdout.split())
+    assert code == 0, done.stderr
+    return kib / 1024  # ru_maxrss is in KiB on Linux
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="ru_maxrss is in KiB on Linux")
+class TestBoundedMemory:
+    """Peak RSS of two runs, one 4x as long as the other. Holding every row
+    costs about 300 B (CSV) or 460 B (JSON) per checkpoint, over 100 MB between
+    these sizes; CSV and exact hold one block of rows, JSON 16 B a checkpoint."""
+
+    @pytest.mark.parametrize("fmt, bound_mb", [("csv", 8), ("json", 32)])
+    def test_simulate_stride_1(self, fmt, bound_mb):
+        small, large = (
+            peak_rss_mb("simulate", "--n", str(n), "--stride", "1", "--format", fmt)
+            for n in (2**17, 2**19)
+        )
+        assert large - small < bound_mb
+
+    def test_exact(self):
+        small, large = (
+            peak_rss_mb("exact", "--n-max", str(n), "--format", "csv") for n in (1500, 6000)
+        )
+        assert large - small < 4

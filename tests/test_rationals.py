@@ -2,7 +2,10 @@ import sys
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from sbchain import markov_core, sbp_model, simulation
 from sbchain.rationals import as_exact, format_rational, parse_rational
 
 
@@ -76,6 +79,53 @@ class TestHugeRationals:
         before = get()
         format_rational(Fraction(2**20000, 3))
         assert get() == before
+
+    # Numerators of 4301 to 6001 digits, past CPython's default int/str limit.
+    @given(st.integers(10**4300, 10**6000), st.booleans(), st.integers(1, 10**6000))
+    @settings(max_examples=30, deadline=None)
+    def test_parse_inverts_format_past_the_limit(self, num, negative, den):
+        x = Fraction(-num if negative else num, den)
+        assert parse_rational(format_rational(x)) == x
+
+    def test_parse_above_ten_to_the_5000(self):
+        assert parse_rational(f"-{BIG}/3") == Fraction(-(10**5001 + 7), 3)
+        assert parse_rational(f"+2/{BIG}") == Fraction(2, 10**5001 + 7)
+        with pytest.raises(ValueError, match="zero denominator"):
+            parse_rational("1/" + "0" * 5000)
+
+
+HUGE = 10**5000
+SBP = sbp_model.sbp_chain()
+
+
+class TestHugeIntDiagnostics:
+    """A rejected int past the digit limit is written whole, not as CPython's
+    "Exceeds the limit" message."""
+
+    @pytest.mark.parametrize(
+        "call, message",
+        [
+            (lambda: markov_core.matrix_power(SBP.matrix, -HUGE), "matrix power needs n >= 0"),
+            (lambda: markov_core.n_step_distribution(SBP, -HUGE), "step index must be >= 1"),
+            (lambda: markov_core.convergence_report(SBP, -HUGE), "n_max must be >= 1"),
+            (lambda: sbp_model.exact_distribution(-HUGE), "awakening index must be >= 1"),
+            (lambda: simulation.SimulationConfig(HUGE, 1, 1), "seed must be a 64-bit"),
+            (lambda: simulation.SimulationConfig(0, -HUGE, 1), "n_experiments must be >= 1"),
+            (lambda: simulation.SimulationConfig(0, 1, -HUGE), "checkpoint_stride must be >= 1"),
+            (lambda: simulation.forced_run("H", -HUGE), "checkpoint_stride must be >= 1"),
+        ],
+        ids=[
+            "matrix_power", "n_step_distribution", "convergence_report",
+            "exact_distribution", "config_seed", "config_n_experiments",
+            "config_checkpoint_stride", "forced_run",
+        ],
+    )
+    def test_message_names_the_value(self, call, message):
+        with pytest.raises(ValueError) as caught:
+            call()
+        text = str(caught.value)
+        assert text.startswith(message)
+        assert text.endswith("1" + "0" * 5000)
 
 
 class TestAsExact:
