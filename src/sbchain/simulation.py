@@ -9,10 +9,15 @@ functions.
 
 Reproducibility contract: tosses come from numpy's Philox counter-based
 generator (philox4x64) keyed with (seed, block_index), one independent stream
-per block of 65536 experiments. The toss stream depends only on the seed, so
-identical configs produce bit-identical records. Every path is one fold over
-the blocks in experiment order that keeps only running Heads counts, so memory
-is one block plus the checkpoints for any run length.
+per block of 65536 experiments. A toss is the top bit of one byte of the
+block's raw 64-bit output, the bytes of each word taken in little-endian
+order. That equals ``Generator.integers(0, 2, dtype=np.uint8)`` on numpy 2.x,
+but a record depends only on the BitGenerator stream, which numpy keeps
+stable across releases (NEP 19); ``Generator`` method streams are not. The
+toss stream depends only on the seed, so identical configs produce
+bit-identical records. Every path is one fold over the blocks in experiment
+order that keeps only running Heads counts, so memory is one block plus the
+checkpoints for any run length.
 """
 
 from __future__ import annotations
@@ -132,10 +137,17 @@ def _block_heads(seed: int, block_index: int, count: int) -> np.ndarray:
 
     Philox is counter-based, so the stream is fully determined by the
     (seed, block_index) key regardless of what other blocks were generated.
+    Toss i is the top bit of byte i of the raw 64-bit words, each read in
+    little-endian order: what ``Generator.integers(0, 2, dtype=np.uint8)``
+    draws, as its bounded-integer loop never rejects on a range of 2.
     """
+    # An explicit uint64 key: numpy reads a list such as [0, 2**64 - 1] as
+    # float64, which rounds the key.
     key = np.array([seed, block_index], dtype=np.uint64)
-    rng = np.random.Generator(np.random.Philox(key=key))
-    return rng.integers(0, 2, size=count, dtype=np.uint8)
+    raw = np.random.Philox(key=key).random_raw(-(-count // 8))
+    heads = raw.astype("<u8", copy=False).view(np.uint8)
+    np.right_shift(heads, 7, out=heads)
+    return heads[:count]
 
 
 def _seeded_blocks(config: SimulationConfig) -> Iterator[np.ndarray]:
@@ -153,12 +165,13 @@ def _fold(
 ) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
     """Walk the toss blocks once, reading running Heads counts at marks.
 
-    Marks sit at every ``stride``-th experiment, or awakening if
-    ``per_awakening``, plus the last one. Yields, for each block that holds
-    marks, int64 arrays over its marks q: q, the number m of experiments
-    complete within the first q units, and their Heads count h(m). After m
-    experiments there have been a(m) = 2m - h(m) awakenings; an awakening mark
-    with a(m) < q stops on the Monday of Tails experiment m + 1.
+    Each block holds at most ``BLOCK_SIZE`` tosses. Marks sit at every
+    ``stride``-th experiment, or awakening if ``per_awakening``, plus the
+    last one. Yields, for each block that holds marks, int64 arrays over its
+    marks q: q, the number m of experiments complete within the first q
+    units, and their Heads count h(m). After m experiments there have been
+    a(m) = 2m - h(m) awakenings; an awakening mark with a(m) < q stops on the
+    Monday of Tails experiment m + 1.
     """
     m0 = h0 = c0 = 0
     for block in blocks:
@@ -167,13 +180,19 @@ def _fold(
         c1 = 2 * m1 - h1 if per_awakening else m1
         q = np.arange(c0 - c0 % stride + stride, c1 + 1, stride)
         if len(q):
-            h = np.cumsum(block, dtype=np.int64)
-            h += h0
+            # Counts within a block fit int32; only the values read at marks
+            # are widened before h0 is added.
+            local = np.cumsum(block, dtype=np.int32)
             if per_awakening:
-                i = np.searchsorted(2 * np.arange(m0 + 1, m1 + 1) - h, q, side="right")
+                # 2j - h_j awakenings after the block's first j experiments.
+                wakes = np.arange(2, 2 * len(block) + 1, 2, dtype=np.int32)
+                wakes -= local
+                i = np.searchsorted(wakes, (q - c0).astype(np.int32), side="right")
             else:
                 i = q - m0
-            yield q, i + m0, np.where(i > 0, h[i - 1], h0)
+            h = np.where(i > 0, local[i - 1], 0).astype(np.int64)
+            h += h0
+            yield q, i + m0, h
         m0, h0, c0 = m1, h1, c1
     if c0 % stride:
         yield np.array([c0]), np.array([m0]), np.array([h0])
@@ -208,7 +227,8 @@ def forced_run(
     if checkpoint_stride < 1:
         raise ValueError(f"checkpoint_stride must be >= 1, got {_decimal(checkpoint_stride)}")
     heads = np.fromiter(map(is_, tosses, repeat(Toss.HEADS)), np.uint8, len(tosses))
-    return _record([heads], checkpoint_stride)
+    blocks = (heads[i:i + BLOCK_SIZE] for i in range(0, len(heads), BLOCK_SIZE))
+    return _record(blocks, checkpoint_stride)
 
 
 def halfer_statistic(record: SimulationRecord) -> float:
@@ -408,16 +428,23 @@ def record_to_csv(record: SimulationRecord) -> str:
     return _CSV_HEADER + _csv_rows(record.checkpoints)
 
 
+# Rows rendered per chunk of CLI output, so that one block's rows at stride 1
+# are never all text at once.
+_CHUNK_ROWS = 4096
+
+
 def _record_chunks(config: SimulationConfig, fmt: str) -> Iterator[str]:
     """``record_to_json`` or ``record_to_csv`` (``fmt`` "json" or "csv") of
-    ``run_simulation(config)``, rendered at most one block of rows at a time."""
+    ``run_simulation(config)``, rendered ``_CHUNK_ROWS`` rows at a time."""
     blocks = (
         (m, 2 * m - h) for _, m, h in _fold(_seeded_blocks(config), config.checkpoint_stride)
     )
     if fmt == "csv":
         yield _CSV_HEADER
         for m, a in blocks:
-            yield _csv_rows(zip(m.tolist(), a.tolist()))
+            for start in range(0, len(m), _CHUNK_ROWS):
+                rows = slice(start, start + _CHUNK_ROWS)
+                yield _csv_rows(zip(m[rows].tolist(), a[rows].tolist()))
         return
     # The header needs the totals before any row, so JSON keeps every (m, a)
     # as int64 pairs, 16 B a checkpoint, packed as they come: a second Philox
@@ -427,9 +454,9 @@ def _record_chunks(config: SimulationConfig, fmt: str) -> Iterator[str]:
         packed += np.column_stack((m, a)).tobytes()
     pairs = np.frombuffer(packed, np.int64).reshape(-1, 2)
     yield _json_head(SimulationRecord(config, (Checkpoint(*pairs[-1].tolist()),)))
-    for start in range(0, len(pairs), BLOCK_SIZE):
+    for start in range(0, len(pairs), _CHUNK_ROWS):
         if start:
             yield ",\n"
-        m, a = pairs[start:start + BLOCK_SIZE].T.tolist()
+        m, a = pairs[start:start + _CHUNK_ROWS].T.tolist()
         yield _json_rows(zip(m, a))
     yield _JSON_TAIL

@@ -165,6 +165,12 @@ class TestBoundedMemory:
         )
         assert large - small < bound_mb
 
+    def test_stride_1_csv_near_stride_10(self):
+        # A whole block of rows at stride 1 is 65536 row strings and their
+        # joined text, 17 MB above stride 10; 4096-row slices stay within 5.
+        argv = ("simulate", "--n", str(2**19), "--format", "csv", "--stride")
+        assert peak_rss_mb(*argv, "1") - peak_rss_mb(*argv, "10") < 8
+
     def test_exact(self):
         small, large = (
             peak_rss_mb("exact", "--n-max", str(n), "--format", "csv") for n in (1500, 6000)

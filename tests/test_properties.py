@@ -37,6 +37,7 @@ from sbchain.simulation import (
     BLOCK_SIZE,
     GENERATOR_NAME,
     SimulationConfig,
+    _block_heads,
     forced_run,
     lln_trace,
     record_from_json,
@@ -48,6 +49,7 @@ from sbchain.simulation import (
 import fraction_oracle
 import record_oracle
 import sequence_oracle
+import toss_oracle
 from test_markov_core import brute_force_irreducible, brute_force_period, mul
 from test_simulation import oracle_heads, oracle_trace
 
@@ -427,6 +429,21 @@ class TestRunProperties:
         f = {Awakening.M_H: c, Awakening.M_T: c, Awakening.TU: c}
         trace = lln_trace(cfg, f)
         assert all(avg == c for _, avg in trace.running_averages)
+
+
+# Whole blocks and any part of one, with extra weight on counts below 8 and
+# counts that are not a multiple of 4 or 8, where a byte reader could slip.
+block_counts = st.integers(1, BLOCK_SIZE) | st.integers(1, 17) | st.sampled_from(
+    [9, 13, 4095, 4097, 4098, BLOCK_SIZE - 3, BLOCK_SIZE - 1, BLOCK_SIZE]
+)
+
+
+class TestTossStreamOracle:
+    @given(st.integers(0, 2**64 - 1), st.integers(0, 2**64 - 1), block_counts)
+    @settings(deadline=None)
+    def test_block_heads_equal_generator_integers(self, seed, block_index, count):
+        expected = toss_oracle.block_heads(seed, block_index, count)
+        assert _block_heads(seed, block_index, count).tolist() == expected.tolist()
 
 
 # --- record boundary ----------------------------------------------------------

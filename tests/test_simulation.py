@@ -1,6 +1,8 @@
 """Unit tests for the Monte Carlo engine: counting, determinism, serialization."""
 
+import bisect
 import dataclasses
+import itertools
 import json
 import math
 import tracemalloc
@@ -20,6 +22,7 @@ from sbchain.simulation import (
     StateCounts,
     _block_heads,
     _checkpoint_marks,
+    _fold,
     forced_run,
     halfer_statistic,
     indicator,
@@ -31,6 +34,7 @@ from sbchain.simulation import (
     state_frequencies,
     thirder_statistic,
 )
+import toss_oracle
 
 
 class TestConfig:
@@ -156,6 +160,47 @@ class TestDeterminism:
         assert last.awakenings == record.total_awakenings
         assert last.halfer == halfer_statistic(record)
         assert last.thirder == thirder_statistic(record)
+
+
+class TestTossStream:
+    @pytest.mark.parametrize("count", [1, 3, 7, 8, 9, 13, 4099, BLOCK_SIZE - 1, BLOCK_SIZE])
+    @pytest.mark.parametrize("seed, block_index", [(0, 0), (42, 3), (2**64 - 1, 2**64 - 1)])
+    def test_top_bit_of_each_little_endian_byte(self, seed, block_index, count):
+        # The contract as arithmetic on the raw words, with no byte view:
+        # toss 8w + k is bit 8k + 7 of word w.
+        key = np.array([seed, block_index], dtype=np.uint64)
+        raw = np.random.Philox(key=key).random_raw(-(-count // 8))
+        shifts = 8 * np.arange(8, dtype=np.uint64) + 7
+        expected = ((raw[:, None] >> shifts) & 1).ravel()[:count]
+        heads = _block_heads(seed, block_index, count)
+        assert heads.dtype == np.uint8
+        assert heads.tolist() == expected.tolist()
+
+
+class TestFoldPastInt32:
+    """One block fed 33 000 times, so counts pass 2**31 (blocks without marks
+    are only counted). Every mark's q, m and h must be the exact integer."""
+
+    REPEATS = 33_000
+    STRIDE = 2**30 + 3
+
+    @pytest.mark.parametrize("per_awakening", [False, True], ids=["experiments", "awakenings"])
+    @pytest.mark.parametrize("kind", ["ones", "mixed"])
+    def test_counts_are_exact(self, kind, per_awakening):
+        n = BLOCK_SIZE
+        block = np.ones(n, np.uint8) if kind == "ones" else toss_oracle.block_heads(7, 0, n)
+        # Heads, and units (experiments or awakenings), after the block's first j tosses.
+        heads = [0, *itertools.accumulate(block.tolist())]
+        units = [2 * j - h for j, h in enumerate(heads)] if per_awakening else list(range(n + 1))
+        expected = []
+        for q in _checkpoint_marks(self.REPEATS * units[-1], self.STRIDE):
+            k, r = divmod(q, units[-1])
+            j = bisect.bisect_right(units, r) - 1
+            expected.append((q, k * n + j, k * heads[-1] + heads[j]))
+        folded = _fold(itertools.repeat(block, self.REPEATS), self.STRIDE, per_awakening)
+        observed = [row for arrays in folded for row in zip(*(a.tolist() for a in arrays))]
+        assert observed == expected
+        assert observed[-1][1] == self.REPEATS * n > 2**31
 
 
 class TestRecordShape:
@@ -425,7 +470,7 @@ B = BLOCK_SIZE
 
 def oracle_heads(seed, n):
     sizes = [min(B, n - start) for start in range(0, n, B)]
-    blocks = [_block_heads(seed, b, size) for b, size in enumerate(sizes)]
+    blocks = [toss_oracle.block_heads(seed, b, size) for b, size in enumerate(sizes)]
     return np.concatenate(blocks) == 1
 
 
