@@ -164,13 +164,14 @@ _EXACT_FRAME = {
 
 def _exact_row(fmt: str, n: int, rec, clo, equal: bool, tv: Fraction) -> str:
     eq, tv = str(equal).lower(), format_rational(tv)
+    # Equal laws print alike, so the closed form is formatted only when it differs.
+    rec = [format_rational(w) for w in rec.weights]
+    clo = rec if equal else [format_rational(w) for w in clo.weights]
     if fmt == "json":
-        rec, clo = ('",\n      "'.join(map(format_rational, d.weights)) for d in (rec, clo))
-        return _EXACT_JSON_ROW % (n, rec, clo, eq, tv)
+        return _EXACT_JSON_ROW % (n, '",\n      "'.join(rec), '",\n      "'.join(clo), eq, tv)
     if fmt == "csv":
-        rec, clo = (" ".join(map(format_rational, d.weights)) for d in (rec, clo))
-        return f"{n},{rec},{clo},{eq},{tv}"
-    return _EXACT_TEXT_ROW.format(n, _format_distribution(rec), _format_distribution(clo), eq, tv)
+        return f"{n},{' '.join(rec)},{' '.join(clo)},{eq},{tv}"
+    return _EXACT_TEXT_ROW.format(n, f"[{', '.join(rec)}]", f"[{', '.join(clo)}]", eq, tv)
 
 
 def cmd_exact(args) -> int:

@@ -22,7 +22,7 @@ checkpoints for any run length.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 from itertools import repeat
 from operator import add, eq, is_, le, lt, sub, truediv
 from typing import Iterable, Iterator, Mapping, NamedTuple
@@ -435,28 +435,19 @@ _CHUNK_ROWS = 4096
 
 def _record_chunks(config: SimulationConfig, fmt: str) -> Iterator[str]:
     """``record_to_json`` or ``record_to_csv`` (``fmt`` "json" or "csv") of
-    ``run_simulation(config)``, rendered ``_CHUNK_ROWS`` rows at a time."""
-    blocks = (
-        (m, 2 * m - h) for _, m, h in _fold(_seeded_blocks(config), config.checkpoint_stride)
-    )
-    if fmt == "csv":
-        yield _CSV_HEADER
-        for m, a in blocks:
-            for start in range(0, len(m), _CHUNK_ROWS):
-                rows = slice(start, start + _CHUNK_ROWS)
-                yield _csv_rows(zip(m[rows].tolist(), a[rows].tolist()))
-        return
-    # The header needs the totals before any row, so JSON keeps every (m, a)
-    # as int64 pairs, 16 B a checkpoint, packed as they come: a second Philox
-    # pass would cost more, and per-block arrays ~300 B when a block has one.
-    packed = bytearray()
-    for m, a in blocks:
-        packed += np.column_stack((m, a)).tobytes()
-    pairs = np.frombuffer(packed, np.int64).reshape(-1, 2)
-    yield _json_head(SimulationRecord(config, (Checkpoint(*pairs[-1].tolist()),)))
-    for start in range(0, len(pairs), _CHUNK_ROWS):
-        if start:
-            yield ",\n"
-        m, a = pairs[start:start + _CHUNK_ROWS].T.tolist()
-        yield _json_rows(zip(m, a))
-    yield _JSON_TAIL
+    ``run_simulation(config)``, rendered ``_CHUNK_ROWS`` rows at a time as the
+    fold yields each block's marks, so memory is one block for any n."""
+    if fmt == "json":
+        # The header needs the totals before any row: one count-only pass.
+        totals = run_simulation(replace(config, checkpoint_stride=config.n_experiments))
+        prefix = _json_head(SimulationRecord(config, totals.checkpoints))
+        render, separator, tail = _json_rows, ",\n", _JSON_TAIL
+    else:
+        prefix, render, separator, tail = _CSV_HEADER, _csv_rows, "", ""
+    for _, m, h in _fold(_seeded_blocks(config), config.checkpoint_stride):
+        a = 2 * m - h
+        for start in range(0, len(m), _CHUNK_ROWS):
+            rows = slice(start, start + _CHUNK_ROWS)
+            yield prefix + render(zip(m[rows].tolist(), a[rows].tolist()))
+            prefix = separator
+    yield tail

@@ -5,9 +5,16 @@ One test per criterion; each prints a single verdict line
     ACCEPTANCE <name>: PASS|FAIL
 
 (run with ``pytest tests/test_acceptance.py -s`` to see them live) and then
-asserts. Exact claims are checked in rational arithmetic; Monte Carlo claims
-use 30 fixed seeds at a million experiments each with a 0.002 tolerance,
-four binomial standard errors for the per-experiment frequency.
+asserts. Exact claims are checked in rational arithmetic. Monte Carlo claims
+use 30 fixed seeds at n = 10^6 experiments each, and pass when at least 29 of
+the 30 land within 0.002 of their limit.
+
+That tolerance follows from Hoeffding's inequality (JASA 1963). For the
+halfer frequency x = H/n, P(|x - 1/2| > t) <= 2 exp(-2 n t^2) = 2e^-8, about
+6.7e-4 per seed at t = 0.002. The thirder frequency x/(2 - x) has slope 8/9
+at x = 1/2, so it misses only when x is off by about 9t/8, with chance about
+8e-5; the Tails frequencies, of slope 4/9, miss far less often. A criterion
+fails only when two seeds miss: at most C(30, 2) (2e^-8)^2, about 2e-4.
 """
 
 import os

@@ -34,6 +34,8 @@ CASES = [
     *((seed, n, stride) for seed in range(10) for n, stride in ((N, 7), (N, N), (1000, 1))),
     (0, N, 1),
     (3, N, 2 * N),
+    (4, N, BLOCK_SIZE),
+    (5, N, BLOCK_SIZE + 1),
 ]
 
 
@@ -95,23 +97,25 @@ class TestStreamedExact:
         assert equal == [True, True, False, True, True]
 
 
-def test_json_keeps_16_bytes_a_checkpoint(monkeypatch):
-    # One mark per block, as at any stride of BLOCK_SIZE or more: per-block
-    # arrays would hold about 300 B a checkpoint.
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_stream_peak_is_flat_in_checkpoints(fmt, monkeypatch):
+    # One mark per block, as at any stride of BLOCK_SIZE or more: keeping
+    # anything per block or per checkpoint would show as hundreds of bytes.
     monkeypatch.setattr(simulation, "BLOCK_SIZE", 16)
 
-    def kept(checkpoints):
-        chunks = simulation._record_chunks(SimulationConfig(1, 16 * checkpoints, 16), "json")
+    def peak(checkpoints):
+        chunks = simulation._record_chunks(SimulationConfig(1, 16 * checkpoints, 16), fmt)
         tracemalloc.start()
         try:
-            next(chunks)  # the whole fold runs before the header
-            return tracemalloc.get_traced_memory()[0]
+            for _ in chunks:
+                pass
+            return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
 
-    kept(100)  # first-use allocations inside numpy and json
-    small = kept(1000)
-    assert (kept(3000) - small) / 2000 < 64
+    peak(100)  # first-use allocations inside numpy and json
+    small = peak(1000)
+    assert (peak(3000) - small) / 2000 < 8
 
 
 # Read, never imported, so that nothing is written under bench/.
@@ -155,9 +159,9 @@ def peak_rss_mb(*argv: str) -> float:
 class TestBoundedMemory:
     """Peak RSS of two runs, one 4x as long as the other. Holding every row
     costs about 300 B (CSV) or 460 B (JSON) per checkpoint, over 100 MB between
-    these sizes; CSV and exact hold one block of rows, JSON 16 B a checkpoint."""
+    these sizes; simulate and exact hold one block of rows in every format."""
 
-    @pytest.mark.parametrize("fmt, bound_mb", [("csv", 8), ("json", 32)])
+    @pytest.mark.parametrize("fmt, bound_mb", [("csv", 8), ("json", 8)])
     def test_simulate_stride_1(self, fmt, bound_mb):
         small, large = (
             peak_rss_mb("simulate", "--n", str(n), "--stride", "1", "--format", fmt)
@@ -165,10 +169,11 @@ class TestBoundedMemory:
         )
         assert large - small < bound_mb
 
-    def test_stride_1_csv_near_stride_10(self):
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_stride_1_near_stride_10(self, fmt):
         # A whole block of rows at stride 1 is 65536 row strings and their
-        # joined text, 17 MB above stride 10; 4096-row slices stay within 5.
-        argv = ("simulate", "--n", str(2**19), "--format", "csv", "--stride")
+        # joined text, 17 MB (CSV) above stride 10; 4096-row slices stay within 5.
+        argv = ("simulate", "--n", str(2**19), "--format", fmt, "--stride")
         assert peak_rss_mb(*argv, "1") - peak_rss_mb(*argv, "10") < 8
 
     def test_exact(self):
