@@ -21,6 +21,7 @@ from __future__ import annotations
 
 from enum import Enum
 from fractions import Fraction
+from itertools import chain
 from typing import Iterable, Sequence
 
 from .markov_core import Chain, DistributionVector, new_chain
@@ -35,12 +36,19 @@ __all__ = [
 STATE_LABELS = ("M_H", "M_T", "Tu")
 
 
-class Toss(Enum):
+class _Symbol(Enum):
+    # Members are singletons that compare by identity, so the identity hash
+    # agrees with equality. Enum's own __hash__ is a Python call that hashes
+    # the name, and it dominated the converters' one dict lookup per symbol.
+    __hash__ = object.__hash__
+
+
+class Toss(_Symbol):
     HEADS = "H"
     TAILS = "T"
 
 
-class Awakening(Enum):
+class Awakening(_Symbol):
     """One awakening in a labeled sequence.
 
     UNDETERMINED can only appear as the final symbol of a decoded sequence,
@@ -53,7 +61,7 @@ class Awakening(Enum):
     UNDETERMINED = "?"
 
 
-class Observation(Enum):
+class Observation(_Symbol):
     M = "M"
     TU = "TU"
 
@@ -102,17 +110,37 @@ def exact_distribution(n: int) -> DistributionVector:
     return DistributionVector((monday, monday, tuesday))
 
 
-def _parse_tokens(enum: type[Enum], tokens: Iterable, error: str) -> list:
-    """Members of ``enum`` whose values equal the tokens stripped and uppercased.
-    Any other token raises ValueError with ``error`` formatted with its repr."""
-    table = {m.value: m for m in enum}
-    out = []
-    for token in tokens:
-        member = table.get(token.strip().upper()) if isinstance(token, str) else None
+class _TokenTable(dict):
+    """Members of ``enum`` by value, and by themselves if ``members``. A token
+    that misses is retried stripped and uppercased if it is a string; any
+    other token raises ValueError with ``error`` formatted with its repr."""
+
+    def __init__(self, enum: type[Enum], error: str, members: bool = False):
+        super().__init__({m.value: m for m in enum})
+        if members:
+            self.update({m: m for m in enum})
+        self.error = error
+
+    def __missing__(self, token):
+        member = self.get(token.strip().upper()) if isinstance(token, str) else None
         if member is None:
-            raise ValueError(error.format(token))
-        out.append(member)
-    return out
+            raise ValueError(self.error.format(token))
+        return member
+
+
+def _parse_tokens(table: _TokenTable, tokens: Iterable) -> list:
+    if not isinstance(tokens, (list, tuple, str)):
+        tokens = list(tokens)
+    try:
+        return list(map(table.__getitem__, tokens))
+    except TypeError:
+        # map stopped at the first unhashable token: all before it matched.
+        for token in tokens:
+            try:
+                hash(token)
+            except TypeError:
+                raise ValueError(table.error.format(token)) from None
+        raise
 
 
 def _stray(enum: type[Enum], i: int, item) -> ValueError:
@@ -128,22 +156,25 @@ def encode_coins(coins: Iterable[Toss | str]) -> list[Awakening]:
     tosses = parse_coin_tokens(coins)
     if not tosses:
         raise EmptyInput("cannot encode an empty coin sequence")
-    return [a for toss in tosses for a in _AWAKENINGS[toss]]
+    return list(chain.from_iterable(map(_AWAKENINGS.__getitem__, tosses)))
 
 
 def project_labels(seq: Sequence[Awakening]) -> list[Observation]:
     """Erase the subscripts: M_H and M_T both become M, Tu stays Tu."""
-    out = []
-    for i, a in enumerate(seq):
-        try:
-            out.append(_DAY[a])
-        except (KeyError, TypeError):
+    if not isinstance(seq, (list, tuple)):
+        seq = list(seq)
+    try:
+        return list(map(_DAY.__getitem__, seq))
+    except (KeyError, TypeError):
+        # Only now find the first item that has no day, and where it is.
+        for i, a in enumerate(seq):
             if a is Awakening.UNDETERMINED:
                 raise UndeterminedSymbol(
                     f"cannot project undetermined awakening at position {i}"
                 ) from None
-            raise _stray(Awakening, i, a) from None
-    return out
+            if not isinstance(a, Awakening):
+                raise _stray(Awakening, i, a) from None
+        raise
 
 
 def decode_observations(
@@ -201,21 +232,21 @@ def validate_labeled_sequence(seq: Sequence[Awakening]) -> None:
 # Reads are case-insensitive; writes use the canonical uppercase forms.
 
 
+_COINS = _TokenTable(Toss, "not a coin toss: {!r} (expected H or T)", members=True)
+_LABELS = _TokenTable(Awakening, "not an awakening token: {!r} (expected MH, MT, TU, or ?)")
+_DAYS = _TokenTable(Observation, "not an observed-day token: {!r} (expected M or TU)")
+
+
 def parse_coin_tokens(tokens: Iterable[Toss | str]) -> list[Toss]:
-    tokens = (t.value if isinstance(t, Toss) else t for t in tokens)
-    return _parse_tokens(Toss, tokens, "not a coin toss: {!r} (expected H or T)")
+    return _parse_tokens(_COINS, tokens)
 
 
 def parse_labeled_tokens(tokens: Iterable[str]) -> list[Awakening]:
-    return _parse_tokens(
-        Awakening, tokens, "not an awakening token: {!r} (expected MH, MT, TU, or ?)"
-    )
+    return _parse_tokens(_LABELS, tokens)
 
 
 def parse_observed_tokens(tokens: Iterable[str]) -> list[Observation]:
-    return _parse_tokens(
-        Observation, tokens, "not an observed-day token: {!r} (expected M or TU)"
-    )
+    return _parse_tokens(_DAYS, tokens)
 
 
 def format_tokens(seq: Iterable[Toss | Awakening | Observation]) -> str:

@@ -23,10 +23,11 @@ checkpoints for any run length.
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass, replace
-from itertools import repeat
+from itertools import chain, repeat
 from operator import add, eq, is_, le, lt, sub, truediv
 from typing import Iterable, Iterator, Mapping, NamedTuple
 
+import gc
 import json
 import math
 import numbers
@@ -200,8 +201,15 @@ def _fold(
 
 def _make_checkpoints(experiments: list[int], awakenings: list[int]) -> tuple[Checkpoint, ...]:
     # tuple.__new__ skips the Python-level NamedTuple constructor, which
-    # dominates at 1e5+ checkpoints.
-    return tuple(map(tuple.__new__, repeat(Checkpoint), zip(experiments, awakenings)))
+    # dominates at 1e5+ checkpoints. Tuples of ints cannot form a cycle, so
+    # the cyclic collector is paused rather than run over them every 700.
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        return tuple(map(tuple.__new__, repeat(Checkpoint), zip(experiments, awakenings)))
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def _record(
@@ -268,6 +276,8 @@ def lln_trace(config: SimulationConfig, f: Mapping[Awakening, float]) -> LLNTrac
     per-state counts (so a constant f averages to exactly that constant) and
     rounded once to float.
     """
+    if not isinstance(f, Mapping):
+        raise ValueError(f"f must be a mapping from each state to a number, got {f!r}")
     missing = [s for s in _STATES if s not in f]
     if missing:
         raise ValueError(f"f must be defined on all three states; missing {missing}")
@@ -372,6 +382,8 @@ def record_from_json(text: str) -> SimulationRecord:
         doc = json.loads(text)
     except RecursionError:
         raise ValueError("a record's JSON is nested too deeply") from None
+    except TypeError:
+        raise ValueError(f"a record must be JSON text, got {type(text).__name__}") from None
     if not isinstance(doc, dict):
         raise ValueError("a record must be a JSON object")
     try:
@@ -411,26 +423,129 @@ def record_from_json(text: str) -> SimulationRecord:
 _CSV_HEADER = "experiments,awakenings,halfer,thirder,freq_MH,freq_MT,freq_TU\n"
 
 
-def _csv_rows(checkpoints: Iterable[tuple[int, int]]) -> str:
-    lines = []
-    for m, a in checkpoints:
-        heads = 2 * m - a
-        freq_heads = f"{heads / a:.6f}"
-        freq_tails = f"{(m - heads) / a:.6f}"
-        lines.append(
-            f"{m},{a},{heads / m:.6f},{freq_heads},"
-            f"{freq_heads},{freq_tails},{freq_tails}\n"
-        )
-    return "".join(lines)
+def _format_rows(checkpoints: Iterable[tuple[int, int]]) -> str:
+    """CSV rows, one f-string each: what :func:`_csv_rows` renders in bulk,
+    and the path for counts outside its domain."""
+    return "".join(
+        f"{m},{a},{h / m:.6f},{h / a:.6f},{h / a:.6f},{(m - h) / a:.6f},{(m - h) / a:.6f}\n"
+        for m, a in checkpoints
+        for h in (2 * m - a,)
+    )
+
+
+# Powers of ten an int64 holds, 10**0 .. 10**18.
+_POW10 = np.array([10**i for i in range(19)], np.int64)
+# ASCII "0" added to the last s of a word's 8 digit bytes, s = 0 .. 8, so
+# that a number's leading zeros stay NUL.
+_ASCII_ZERO = np.array(
+    [(0x3030303030303030 << 8 * (8 - s)) % 2**64 for s in range(9)], np.uint64
+)
+# y = x * 1e6 for a float64 x in [0, 1] lies within 2**-34 of the exact
+# x·10**6, so rint(y) is the correctly rounded ".6f" value of x unless y lies
+# this close to a half-integer.
+_NEAR_TIE = 1e-6
+# The comma, the five "d.dddddd" frequencies between commas, and the newline
+# that follow the awakenings in each row.
+_ROW_TAIL = 46
+
+
+def _digit_words(x: np.ndarray) -> np.ndarray:
+    """uint64 words whose little-endian bytes are the 8 decimal digits of each
+    uint64 x < 10**8 (byte values 0-9), most significant digit first."""
+    # Four digits per 32-bit lane, then two per 16-bit lane, then one per
+    # byte; (v * 10486) >> 20 is v // 100 for v < 10**4, (v * 103) >> 10 is
+    # v // 10 for v < 100, and the masks keep each lane's quotient.
+    q = x // 10**4
+    w = q | ((x - q * 10**4) << 32)
+    q = ((w * 10486) >> 20) & 0x0000007F0000007F
+    w = q | ((w - 100 * q) << 16)
+    q = ((w * 103) >> 10) & 0x000F000F000F000F
+    return q | ((w - 10 * q) << 8)
+
+
+def _decimal_bytes(x: np.ndarray) -> np.ndarray:
+    """ASCII digits of each int64 x >= 1, one row each, right-aligned to the
+    longest, with NUL in place of leading zeros."""
+    digits = np.searchsorted(_POW10, x, side="right")
+    width = int(digits.max())
+    words = -(-width // 8)
+    out = np.empty((len(x), words), "<u8")
+    x = x.astype(np.uint64)
+    for j in range(words):  # the last word holds the 8 lowest digits
+        q = x // 10**8
+        low = _digit_words(x - q * 10**8)
+        out[:, -1 - j] = low + _ASCII_ZERO[np.clip(digits - 8 * j, 0, 8)]
+        x = q
+    return out.view(np.uint8)[:, 8 * words - width:]
+
+
+def _frequency_bytes(m: np.ndarray, a: np.ndarray) -> np.ndarray:
+    """The ASCII ".6f" of h/m, h/a and (a - m)/a, shape (3, len(m), 8).
+
+    Each x = num / den is a float64 quotient, which is Python's correctly
+    rounded int / int while den <= 2**53. Rows with a > 2**53, or a frequency
+    near a rounding tie, take their values from ``format``.
+    """
+    t = a - m
+    h = m - t
+    y = np.stack([h / m, h / a, t / a]) * 1e6
+    k = np.rint(y)
+    near = (np.abs(y - k) > 0.5 - _NEAR_TIE).any(axis=0) | (a > 2**53)
+    k = k.astype(np.uint64)
+    for i in np.flatnonzero(near).tolist():
+        mi, ai = int(m[i]), int(a[i])
+        hi = 2 * mi - ai
+        k[:, i] = [int(f"{x:.6f}".replace(".", "")) for x in (hi / mi, hi / ai, (ai - mi) / ai)]
+    # "d.dddddd" is the 6 digits of k % 10**6 behind "d." for d = k // 10**6.
+    whole = k // 10**6
+    words = _digit_words(k - whole * 10**6) + whole + 0x3030303030302E30
+    return words.astype("<u8", copy=False).view(np.uint8).reshape(3, len(m), 8)
+
+
+def _csv_rows(m: np.ndarray, a: np.ndarray) -> str:
+    """:func:`_format_rows` of the checkpoints in int64 columns m and a,
+    built as one byte matrix with a row per checkpoint."""
+    t = a - m
+    if not ((m >= 1) & (t >= 0) & (t <= m)).all():
+        return _format_rows(zip(m.tolist(), a.tolist()))
+    freq = _frequency_bytes(m, a)
+    digits_m, digits_a = _decimal_bytes(m), _decimal_bytes(a)
+    wm = digits_m.shape[1]
+    o = wm + 1 + digits_a.shape[1]
+    rows = np.empty((len(m), o + _ROW_TAIL), np.uint8)
+    rows[:, :wm] = digits_m
+    rows[:, wm + 1:o] = digits_a
+    rows[:, wm] = rows[:, o::9] = ord(",")
+    for j, f in enumerate((0, 1, 1, 2, 2)):
+        rows[:, o + 9 * j + 1:o + 9 * j + 9] = freq[f]
+    rows[:, -1] = ord("\n")
+    return str(rows, "ascii").replace("\0", "")
+
+
+# Rows rendered at a time, so that one block's rows at stride 1 are never all
+# text at once.
+_CHUNK_ROWS = 4096
+
+
+def _chunked(render, m: np.ndarray, a: np.ndarray) -> Iterator[str]:
+    """``render(m, a)`` over ``_CHUNK_ROWS`` rows of the columns at a time."""
+    for start in range(0, len(m), _CHUNK_ROWS):
+        rows = slice(start, start + _CHUNK_ROWS)
+        yield render(m[rows], a[rows])
 
 
 def record_to_csv(record: SimulationRecord) -> str:
-    return _CSV_HEADER + _csv_rows(record.checkpoints)
+    n = len(record.checkpoints)
+    try:
+        columns = np.fromiter(chain.from_iterable(record.checkpoints), np.int64, 2 * n)
+    except OverflowError:
+        # No run counts past int64, but such a record still formats.
+        return _CSV_HEADER + _format_rows(record.checkpoints)
+    return "".join(chain([_CSV_HEADER], _chunked(_csv_rows, columns[0::2], columns[1::2])))
 
 
-# Rows rendered per chunk of CLI output, so that one block's rows at stride 1
-# are never all text at once.
-_CHUNK_ROWS = 4096
+def _json_columns(m: np.ndarray, a: np.ndarray) -> str:
+    return _json_rows(zip(m.tolist(), a.tolist()))
 
 
 def _record_chunks(config: SimulationConfig, fmt: str) -> Iterator[str]:
@@ -441,13 +556,11 @@ def _record_chunks(config: SimulationConfig, fmt: str) -> Iterator[str]:
         # The header needs the totals before any row: one count-only pass.
         totals = run_simulation(replace(config, checkpoint_stride=config.n_experiments))
         prefix = _json_head(SimulationRecord(config, totals.checkpoints))
-        render, separator, tail = _json_rows, ",\n", _JSON_TAIL
+        render, separator, tail = _json_columns, ",\n", _JSON_TAIL
     else:
         prefix, render, separator, tail = _CSV_HEADER, _csv_rows, "", ""
     for _, m, h in _fold(_seeded_blocks(config), config.checkpoint_stride):
-        a = 2 * m - h
-        for start in range(0, len(m), _CHUNK_ROWS):
-            rows = slice(start, start + _CHUNK_ROWS)
-            yield prefix + render(zip(m[rows].tolist(), a[rows].tolist()))
+        for text in _chunked(render, m, 2 * m - h):
+            yield prefix + text
             prefix = separator
     yield tail

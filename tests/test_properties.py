@@ -36,7 +36,9 @@ from sbchain.sbp_model import (
 from sbchain.simulation import (
     BLOCK_SIZE,
     GENERATOR_NAME,
+    Checkpoint,
     SimulationConfig,
+    SimulationRecord,
     _block_heads,
     forced_run,
     lln_trace,
@@ -509,7 +511,38 @@ seeded_lengths = st.integers(1, 3 * BLOCK_SIZE + 5) | st.builds(
 )
 
 
+@st.composite
+def checkpoint_counts(draw):
+    """(m, a) with 1 <= m <= 2**53 and m <= a <= 2m, weighted to awakenings
+    past 2**53 and to a frequency on or next to a ".6f" rounding tie: p/128,
+    whose x·1e6 is a half-integer for odd p, or p/(2·10**6), whose double
+    lies within 1e-10 of one."""
+    kind = draw(st.sampled_from(["any", "past 2**53", "halfer", "thirder", "tails"]))
+    if kind == "any":
+        m = draw(st.integers(1, 2**53))
+        return m, draw(st.integers(m, 2 * m))
+    if kind == "past 2**53":
+        m = draw(st.integers(2**52 + 1, 2**53))
+        return m, draw(st.integers(2**53 + 1, 2 * m))
+    q = draw(st.sampled_from([128, 2 * 10**6]))
+    p = draw(st.integers(0, q))
+    s = draw(st.integers(1, 2**52 // q))
+    if kind == "halfer":  # h/m = p/q
+        return q * s, 2 * q * s - p * s
+    if kind == "thirder":  # h/a = p/q, with a + h even
+        return q * s + p * s, 2 * q * s
+    return q * s - p // 2 * s, q * s  # (a - m)/a = (p // 2)/q
+
+
 class TestRecordWriterOracle:
+    @given(st.lists(checkpoint_counts(), min_size=1, max_size=30, unique_by=lambda c: c[0]))
+    @settings(deadline=None)
+    def test_counts_near_rounding_ties(self, counts):
+        checkpoints = tuple(Checkpoint(m, a) for m, a in sorted(counts))
+        # Read back through the parser: each row is one a record can hold.
+        record = record_from_json(record_to_json(SimulationRecord(None, checkpoints)))
+        assert_writers_match_oracle(record)
+
     @given(st.data(), st.integers(0, 2**64 - 1), seeded_lengths)
     @settings(max_examples=40, deadline=None)
     def test_seeded_record(self, data, seed, n):

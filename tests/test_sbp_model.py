@@ -104,6 +104,9 @@ class TestEncode:
     def test_accepts_lowercase_strings(self):
         assert encode_coins(["h", "t"]) == [MH, MT, TU]
 
+    def test_accepts_members_and_padded_strings(self):
+        assert encode_coins(iter([Toss.TAILS, " h\n", "T"])) == [MT, TU, MH, MT, TU]
+
     def test_length_is_heads_plus_twice_tails(self):
         coins = "HTTHTHHT"
         labels = encode_coins(coins)
@@ -128,6 +131,25 @@ class TestProject:
 
     def test_empty_is_fine(self):
         assert project_labels([]) == []
+
+    @pytest.mark.parametrize(
+        "seq, error, message",
+        [
+            ([MH, MT, TU, UNK, None], UndeterminedSymbol,
+             "cannot project undetermined awakening at position 3"),
+            ((a for a in [MT, TU, "MH", UNK]), ValueError,
+             "position 2: expected an Awakening, got 'MH'"),
+            ((MH, {}, UNK), ValueError, "position 1: expected an Awakening, got {}"),
+            ([MH, M], ValueError, "position 1: expected an Awakening, got <Observation.M: 'M'>"),
+        ],
+    )
+    def test_first_bad_item_and_its_position(self, seq, error, message):
+        with pytest.raises(error) as info:
+            project_labels(seq)
+        assert type(info.value) is error and str(info.value) == message
+
+    def test_any_iterable(self):
+        assert project_labels(iter([MT, TU, MH])) == [M, OTU, M]
 
 
 class TestMembersOnly:
@@ -252,6 +274,28 @@ class TestTokens:
     def test_non_string_token_rejected(self, parse, token, message):
         with pytest.raises(ValueError, match=message):
             parse([token])
+
+    @pytest.mark.parametrize(
+        "parse, tokens, message",
+        [
+            (parse_coin_tokens, ["H", "x"], "not a coin toss: 'x' (expected H or T)"),
+            (parse_coin_tokens, iter(["h", Toss.TAILS, "HT"]),
+             "not a coin toss: 'HT' (expected H or T)"),
+            (parse_coin_tokens, "HTX", "not a coin toss: 'X' (expected H or T)"),
+            (parse_labeled_tokens, ["MH", ["MH"]],
+             "not an awakening token: ['MH'] (expected MH, MT, TU, or ?)"),
+            (parse_labeled_tokens, ["MX", []],
+             "not an awakening token: 'MX' (expected MH, MT, TU, or ?)"),
+            (parse_observed_tokens, (d for d in ["m", {}, "X"]),
+             "not an observed-day token: {} (expected M or TU)"),
+            (parse_observed_tokens, ["M", M], "not an observed-day token: "
+             "<Observation.M: 'M'> (expected M or TU)"),
+        ],
+    )
+    def test_first_bad_token_named_exactly(self, parse, tokens, message):
+        with pytest.raises(ValueError) as info:
+            parse(tokens)
+        assert str(info.value) == message
 
     def test_format_uppercase(self):
         assert format_tokens([MH, MT, TU]) == "MH MT TU"

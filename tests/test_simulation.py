@@ -11,6 +11,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from sbchain import simulation
 from sbchain.sbp_model import Awakening, EmptyInput
 from sbchain.simulation import (
     BLOCK_SIZE,
@@ -34,6 +35,7 @@ from sbchain.simulation import (
     state_frequencies,
     thirder_statistic,
 )
+import record_oracle
 import toss_oracle
 
 
@@ -244,6 +246,54 @@ class TestSerialization:
         lines = record_to_csv(record).splitlines()
         assert lines[1] == "2,3,0.500000,0.333333,0.333333,0.333333,0.333333"
 
+    @pytest.mark.parametrize(
+        "checkpoint, row",
+        [
+            # x·1e6 = 7812.5 exactly: both round half to even.
+            ((128, 255), "128,255,0.007812,0.003922,0.003922,0.498039,0.498039"),
+            # 5/2e6 as a double lies just above 2.5e-6, but x * 1e6 rounds to
+            # 2.5 exactly, whose rint is 2: format gives 3.
+            ((2 * 10**6, 4 * 10**6 - 5),
+             "2000000,3999995,0.000003,0.000001,0.000001,0.499999,0.499999"),
+            # Awakenings past 2**53 are not exact in a float64.
+            ((2**53, 2**53 + 1),
+             "9007199254740992,9007199254740993,1.000000,1.000000,1.000000,0.000000,0.000000"),
+        ],
+    )
+    def test_csv_rows_near_a_rounding_tie(self, checkpoint, row):
+        record = SimulationRecord(None, (Checkpoint(*checkpoint),))
+        assert record_to_csv(record).splitlines()[1] == row
+
+    @pytest.mark.parametrize("rows", [4095, 4096, 4097])
+    def test_csv_across_a_chunk_edge(self, rows):
+        # Stride 1 also moves m and a through every digit count up to 4.
+        record = run_simulation(SimulationConfig(seed=3, n_experiments=rows, checkpoint_stride=1))
+        assert record_to_csv(record) == record_oracle.record_to_csv(record)
+
+    def test_csv_of_no_checkpoints_is_the_header(self):
+        assert record_to_csv(SimulationRecord(None, ())) == (
+            "experiments,awakenings,halfer,thirder,freq_MH,freq_MT,freq_TU\n"
+        )
+
+    def test_csv_rows_of_a_run_are_rendered_in_bulk(self, monkeypatch):
+        # Only counts no run makes go through the per-row writer.
+        record = run_simulation(SimulationConfig(4, 3 * BLOCK_SIZE, 1))
+        expected = record_oracle.record_to_csv(record)
+        monkeypatch.delattr(simulation, "_format_rows")
+        assert record_to_csv(record) == expected
+
+    @pytest.mark.parametrize(
+        "checkpoints",
+        [((2**63, 2**63),), ((5, 3),), ((3, 7),), ((-2, -3),), ((1, 2), (2**62, 2**63 - 1))],
+    )
+    def test_csv_of_counts_no_run_makes(self, checkpoints):
+        record = SimulationRecord(None, tuple(Checkpoint(m, a) for m, a in checkpoints))
+        assert record_to_csv(record) == record_oracle.record_to_csv(record)
+
+    def test_csv_of_zero_experiments_divides_by_zero(self):
+        with pytest.raises(ZeroDivisionError):
+            record_to_csv(SimulationRecord(None, (Checkpoint(0, 0),)))
+
 
 class TestLLNTrace:
     CFG = SimulationConfig(seed=5, n_experiments=50_000, checkpoint_stride=20_000)
@@ -276,6 +326,11 @@ class TestLLNTrace:
         assert final == pytest.approx(
             record.state_counts.m_h / record.total_awakenings
         )
+
+    @pytest.mark.parametrize("f", [None, 1.0, [1.0, 0.0, 0.0], set(simulation._STATES)])
+    def test_non_mapping_rejected(self, f):
+        with pytest.raises(ValueError, match="f must be a mapping"):
+            lln_trace(self.CFG, f)
 
     def test_missing_state_rejected(self):
         with pytest.raises(ValueError, match="all three states"):
@@ -326,6 +381,11 @@ class TestRecordFromJson:
     def test_not_a_record(self, text):
         with pytest.raises(ValueError):
             record_from_json(text)
+
+    @pytest.mark.parametrize("value", [5, None, 2.5, ["{}"]])
+    def test_non_text_rejected(self, value):
+        with pytest.raises(ValueError, match="must be JSON text"):
+            record_from_json(value)
 
     def test_deeply_nested_json_rejected(self):
         with pytest.raises(ValueError, match="nested too deeply"):
