@@ -21,7 +21,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import replace
 from fractions import Fraction
 
 from . import markov_core, sbp_model
@@ -212,9 +211,7 @@ def cmd_simulate(args) -> int:
             sys.stdout.write("\n")
     else:
         # The summary reads only the totals, which one checkpoint at n holds.
-        record = simulation.run_simulation(
-            replace(config, checkpoint_stride=config.n_experiments)
-        )
+        record = simulation._totals(config)
         freq = simulation.state_frequencies(record)
         print(f"generator:          {record.generator}")
         print(f"seed:               {config.seed}")

@@ -335,7 +335,7 @@ def period(matrix: TransitionMatrix, state: int) -> int:
     require_int("state", state)
     k = matrix.dimension
     if not 0 <= state < k:
-        raise ValueError(f"state index {state} out of range for {k} states")
+        raise ValueError(f"state index {_decimal(state)} out of range for {k} states")
     return p
 
 

@@ -63,6 +63,11 @@ def _decimal(n: int) -> str:
         return _decimal(high) + _decimal(low).zfill(k)
 
 
+def _shown(value) -> str:
+    """``repr(value)``, with an int written whole by :func:`_decimal`."""
+    return _decimal(value) if type(value) is int else repr(value)
+
+
 def _integer(text: str) -> int:
     """``int(text)`` for an optionally signed run of ASCII digits, split into
     halves while it is too long for int; the inverse of :func:`_decimal`."""

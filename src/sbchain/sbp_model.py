@@ -25,7 +25,7 @@ from itertools import chain
 from typing import Iterable, Sequence
 
 from .markov_core import Chain, DistributionVector, new_chain
-from .rationals import _decimal, require_int
+from .rationals import _decimal, _shown, require_int
 
 __all__ = [
     "Awakening", "EmptyInput", "MalformedObservation", "Observation", "Toss",
@@ -124,7 +124,7 @@ class _TokenTable(dict):
     def __missing__(self, token):
         member = self.get(token.strip().upper()) if isinstance(token, str) else None
         if member is None:
-            raise ValueError(self.error.format(token))
+            raise ValueError(self.error.format(_shown(token)))
         return member
 
 
@@ -139,12 +139,12 @@ def _parse_tokens(table: _TokenTable, tokens: Iterable) -> list:
             try:
                 hash(token)
             except TypeError:
-                raise ValueError(table.error.format(token)) from None
+                raise ValueError(table.error.format(_shown(token))) from None
         raise
 
 
 def _stray(enum: type[Enum], i: int, item) -> ValueError:
-    return ValueError(f"position {i}: expected an {enum.__name__}, got {item!r}")
+    return ValueError(f"position {i}: expected an {enum.__name__}, got {_shown(item)}")
 
 
 _AWAKENINGS = {Toss.HEADS: (Awakening.M_H,), Toss.TAILS: (Awakening.M_T, Awakening.TU)}
@@ -232,9 +232,9 @@ def validate_labeled_sequence(seq: Sequence[Awakening]) -> None:
 # Reads are case-insensitive; writes use the canonical uppercase forms.
 
 
-_COINS = _TokenTable(Toss, "not a coin toss: {!r} (expected H or T)", members=True)
-_LABELS = _TokenTable(Awakening, "not an awakening token: {!r} (expected MH, MT, TU, or ?)")
-_DAYS = _TokenTable(Observation, "not an observed-day token: {!r} (expected M or TU)")
+_COINS = _TokenTable(Toss, "not a coin toss: {} (expected H or T)", members=True)
+_LABELS = _TokenTable(Awakening, "not an awakening token: {} (expected MH, MT, TU, or ?)")
+_DAYS = _TokenTable(Observation, "not an observed-day token: {} (expected M or TU)")
 
 
 def parse_coin_tokens(tokens: Iterable[Toss | str]) -> list[Toss]:

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from dataclasses import asdict, dataclass, replace
 from itertools import chain, repeat
-from operator import add, eq, is_, le, lt, sub, truediv
+from operator import add, eq, is_, sub, truediv
 from typing import Iterable, Iterator, Mapping, NamedTuple
 
 import gc
@@ -34,7 +34,7 @@ import numbers
 
 import numpy as np
 
-from .rationals import _decimal, require_int
+from .rationals import _decimal, _shown, require_int
 from .sbp_model import Awakening, EmptyInput, Toss, parse_coin_tokens
 
 GENERATOR_NAME = "philox4x64"
@@ -136,11 +136,8 @@ class LLNTrace:
 def _block_heads(seed: int, block_index: int, count: int) -> np.ndarray:
     """Fair tosses for one block as uint8: 1 means Heads.
 
-    Philox is counter-based, so the stream is fully determined by the
-    (seed, block_index) key regardless of what other blocks were generated.
-    Toss i is the top bit of byte i of the raw 64-bit words, each read in
-    little-endian order: what ``Generator.integers(0, 2, dtype=np.uint8)``
-    draws, as its bounded-integer loop never rejects on a range of 2.
+    ``Generator.integers(0, 2, dtype=np.uint8)`` draws the same tosses, as its
+    bounded-integer loop never rejects on a range of 2.
     """
     # An explicit uint64 key: numpy reads a list such as [0, 2**64 - 1] as
     # float64, which rounds the key.
@@ -155,10 +152,6 @@ def _seeded_blocks(config: SimulationConfig) -> Iterator[np.ndarray]:
     n = config.n_experiments
     for b, start in enumerate(range(0, n, BLOCK_SIZE)):
         yield _block_heads(config.seed, b, min(BLOCK_SIZE, n - start))
-
-
-def _checkpoint_marks(total: int, stride: int) -> list[int]:
-    return [*range(stride, total, stride), total]
 
 
 def _fold(
@@ -239,6 +232,12 @@ def forced_run(
     return _record(blocks, checkpoint_stride)
 
 
+def _totals(config: SimulationConfig) -> SimulationRecord:
+    """``run_simulation(config)`` with only its last checkpoint: one count-only pass."""
+    counts = run_simulation(replace(config, checkpoint_stride=config.n_experiments))
+    return SimulationRecord(config, counts.checkpoints)
+
+
 def halfer_statistic(record: SimulationRecord) -> float:
     """Per-experiment Heads frequency."""
     return record.heads_experiments / record.total_experiments
@@ -263,7 +262,7 @@ def _finite(name: str, value) -> float:
     except OverflowError:
         x = math.nan
     if not math.isfinite(x):
-        raise ValueError(f"{name} must be a finite real number, got {value!r}")
+        raise ValueError(f"{name} must be a finite real number, got {_shown(value)}")
     return x
 
 
@@ -321,6 +320,34 @@ def _header(record: SimulationRecord) -> dict:
     }
 
 
+_DOMAIN = "checkpoint experiments must strictly increase within [1, 2**53], awakenings in [m, 2m]"
+
+
+def _checkpoint_columns(record: SimulationRecord) -> tuple[np.ndarray, np.ndarray]:
+    """int64 columns m and a of the record's checkpoints (m, a); ValueError
+    unless there is one or more, m strictly increases within [1, 2**53], each
+    a lies in [m, 2m], and the marks are the config's."""
+    n = len(record.checkpoints)
+    if n < 1:
+        raise ValueError("a record needs at least one checkpoint")
+    try:
+        columns = np.fromiter(chain.from_iterable(record.checkpoints), np.int64, 2 * n)
+    except OverflowError:  # a count past int64
+        raise ValueError(_DOMAIN) from None
+    m, a = columns[0::2], columns[1::2]
+    # Each test runs only once the ones before it hold, so 2 * m fits.
+    if m[0] < 1 or m[-1] > 2**53 or (m[1:] <= m[:-1]).any() or ((a < m) | (a > 2 * m)).any():
+        raise ValueError(_DOMAIN)
+    if record.config is not None:
+        total, stride = record.config.n_experiments, record.config.checkpoint_stride
+        # With more than one mark, stride < total = m[-1] <= 2**53, so the
+        # multiples of the stride fit int64.
+        if (int(m[-1]) != total or n != -(-total // stride)
+                or (m[:-1] != np.arange(1, n) * min(stride, total)).any()):
+            raise ValueError("checkpoint marks do not match the config")
+    return m, a
+
+
 # One checkpoint object as json.dumps(indent=2) lays it out inside the list;
 # json writes a finite float as its repr, and h/m and h/a are always finite.
 _JSON_ROW = (
@@ -337,37 +364,12 @@ def _json_head(record: SimulationRecord) -> str:
     return head.removesuffix("[]\n}") + "[\n"
 
 
-def _json_rows(checkpoints: Iterable[tuple[int, int]]) -> str:
-    return ",\n".join([
-        _JSON_ROW % (m, a, h / m, h / a) for m, a in checkpoints for h in (2 * m - a,)
-    ])
-
-
-def record_to_json(record: SimulationRecord) -> str:
-    return f"{_json_head(record)}{_json_rows(record.checkpoints)}{_JSON_TAIL}"
+def _json_rows(m: np.ndarray, a: np.ndarray) -> str:
+    pairs = zip(m.tolist(), a.tolist())
+    return ",\n".join([_JSON_ROW % (m, a, h / m, h / a) for m, a in pairs for h in (2 * m - a,)])
 
 
 _CHECKPOINT_FIELDS = ("experiments", "awakenings", "halfer", "thirder")
-
-
-def _parse_checkpoints(columns: list[list]) -> tuple[Checkpoint, ...]:
-    """Checkpoints from their JSON columns, which must follow from the counts."""
-    exps, wakes, halfer, thirder = columns
-    if not exps:
-        raise ValueError("a record needs at least one checkpoint")
-    if not set(map(type, exps)) | set(map(type, wakes)) <= {int}:
-        raise ValueError("checkpoint experiments and awakenings must be ints")
-    if not set(map(type, halfer)) | set(map(type, thirder)) <= {float}:
-        raise ValueError("checkpoint halfer and thirder must be floats")
-    if exps[0] < 1 or exps[-1] > 2**53 or not all(map(lt, exps, exps[1:])):
-        raise ValueError("checkpoint experiments must strictly increase within [1, 2**53]")
-    if not (all(map(le, exps, wakes)) and all(map(le, wakes, map(add, exps, exps)))):
-        raise ValueError("checkpoint awakenings must lie in [m, 2m]")
-    heads = list(map(sub, map(add, exps, exps), wakes))
-    if not (all(map(eq, halfer, map(truediv, heads, exps)))
-            and all(map(eq, thirder, map(truediv, heads, wakes)))):
-        raise ValueError("checkpoint halfer/thirder must equal h/m and h/awakenings")
-    return _make_checkpoints(exps, wakes)
 
 
 def record_from_json(text: str) -> SimulationRecord:
@@ -393,18 +395,24 @@ def record_from_json(text: str) -> SimulationRecord:
                 config["seed"], config["n_experiments"], config["checkpoint_stride"]
             )
         items = doc["checkpoints"]
-        columns = [[c[key] for c in items] for key in _CHECKPOINT_FIELDS]
+        exps, wakes, halfer, thirder = ([c[key] for c in items] for key in _CHECKPOINT_FIELDS)
     except (KeyError, TypeError) as exc:
         raise ValueError(f"malformed record: {exc!r}") from None
     # Every item yielded all four keys, so it is an object; a size of four
     # leaves no room for another key.
     if set(map(len, items)) - {len(_CHECKPOINT_FIELDS)}:
         raise ValueError(f"each checkpoint must have exactly the keys {_CHECKPOINT_FIELDS}")
-    record = SimulationRecord(config, _parse_checkpoints(columns))
-    if config is not None and columns[0] != _checkpoint_marks(
-        config.n_experiments, config.checkpoint_stride
-    ):
-        raise ValueError("checkpoint marks do not match the config")
+    if not set(map(type, exps)) | set(map(type, wakes)) <= {int}:
+        raise ValueError("checkpoint experiments and awakenings must be ints")
+    if not set(map(type, halfer)) | set(map(type, thirder)) <= {float}:
+        raise ValueError("checkpoint halfer and thirder must be floats")
+    record = SimulationRecord(config, _make_checkpoints(exps, wakes))
+    _checkpoint_columns(record)
+    # On ints: a float64 cannot hold every count of awakenings past 2**53.
+    heads = list(map(sub, map(add, exps, exps), wakes))
+    if not (all(map(eq, halfer, map(truediv, heads, exps)))
+            and all(map(eq, thirder, map(truediv, heads, wakes)))):
+        raise ValueError("checkpoint halfer/thirder must equal h/m and h/awakenings")
     header = _header(record)
     if doc.keys() != {*header, "checkpoints"}:
         raise ValueError(
@@ -421,17 +429,6 @@ def record_from_json(text: str) -> SimulationRecord:
 
 
 _CSV_HEADER = "experiments,awakenings,halfer,thirder,freq_MH,freq_MT,freq_TU\n"
-
-
-def _format_rows(checkpoints: Iterable[tuple[int, int]]) -> str:
-    """CSV rows, one f-string each: what :func:`_csv_rows` renders in bulk,
-    and the path for counts outside its domain."""
-    return "".join(
-        f"{m},{a},{h / m:.6f},{h / a:.6f},{h / a:.6f},{(m - h) / a:.6f},{(m - h) / a:.6f}\n"
-        for m, a in checkpoints
-        for h in (2 * m - a,)
-    )
-
 
 # Powers of ten an int64 holds, 10**0 .. 10**18.
 _POW10 = np.array([10**i for i in range(19)], np.int64)
@@ -503,11 +500,9 @@ def _frequency_bytes(m: np.ndarray, a: np.ndarray) -> np.ndarray:
 
 
 def _csv_rows(m: np.ndarray, a: np.ndarray) -> str:
-    """:func:`_format_rows` of the checkpoints in int64 columns m and a,
-    built as one byte matrix with a row per checkpoint."""
-    t = a - m
-    if not ((m >= 1) & (t >= 0) & (t <= m)).all():
-        return _format_rows(zip(m.tolist(), a.tolist()))
+    """CSV rows of the checkpoints in int64 columns m and a, which
+    :func:`_checkpoint_columns` accepts, built as one byte matrix with a row
+    per checkpoint."""
     freq = _frequency_bytes(m, a)
     digits_m, digits_a = _decimal_bytes(m), _decimal_bytes(a)
     wm = digits_m.shape[1]
@@ -525,42 +520,39 @@ def _csv_rows(m: np.ndarray, a: np.ndarray) -> str:
 # Rows rendered at a time, so that one block's rows at stride 1 are never all
 # text at once.
 _CHUNK_ROWS = 4096
+# Per format: the renderer of int64 columns (m, a) into rows, the text
+# between two chunks of rows, and the text after the last.
+_FORMATS = {"json": (_json_rows, ",\n", _JSON_TAIL), "csv": (_csv_rows, "", "")}
 
 
-def _chunked(render, m: np.ndarray, a: np.ndarray) -> Iterator[str]:
-    """``render(m, a)`` over ``_CHUNK_ROWS`` rows of the columns at a time."""
-    for start in range(0, len(m), _CHUNK_ROWS):
-        rows = slice(start, start + _CHUNK_ROWS)
-        yield render(m[rows], a[rows])
+def _text(fmt: str, head: str, columns: Iterable[tuple[np.ndarray, np.ndarray]]) -> Iterator[str]:
+    """Record text in ``fmt`` ("json" or "csv"): ``head``, then the rows of
+    each pair of columns ``_CHUNK_ROWS`` at a time, then the tail."""
+    render, separator, tail = _FORMATS[fmt]
+    for m, a in columns:
+        for start in range(0, len(m), _CHUNK_ROWS):
+            rows = slice(start, start + _CHUNK_ROWS)
+            yield head + render(m[rows], a[rows])
+            head = separator
+    yield tail
+
+
+def record_to_json(record: SimulationRecord) -> str:
+    """JSON text of ``record``; ValueError for checkpoints the reader refuses."""
+    columns = _checkpoint_columns(record)
+    return "".join(_text("json", _json_head(record), [columns]))
 
 
 def record_to_csv(record: SimulationRecord) -> str:
-    n = len(record.checkpoints)
-    try:
-        columns = np.fromiter(chain.from_iterable(record.checkpoints), np.int64, 2 * n)
-    except OverflowError:
-        # No run counts past int64, but such a record still formats.
-        return _CSV_HEADER + _format_rows(record.checkpoints)
-    return "".join(chain([_CSV_HEADER], _chunked(_csv_rows, columns[0::2], columns[1::2])))
-
-
-def _json_columns(m: np.ndarray, a: np.ndarray) -> str:
-    return _json_rows(zip(m.tolist(), a.tolist()))
+    """CSV text of ``record``; ValueError for checkpoints the reader refuses."""
+    return "".join(_text("csv", _CSV_HEADER, [_checkpoint_columns(record)]))
 
 
 def _record_chunks(config: SimulationConfig, fmt: str) -> Iterator[str]:
     """``record_to_json`` or ``record_to_csv`` (``fmt`` "json" or "csv") of
-    ``run_simulation(config)``, rendered ``_CHUNK_ROWS`` rows at a time as the
-    fold yields each block's marks, so memory is one block for any n."""
-    if fmt == "json":
-        # The header needs the totals before any row: one count-only pass.
-        totals = run_simulation(replace(config, checkpoint_stride=config.n_experiments))
-        prefix = _json_head(SimulationRecord(config, totals.checkpoints))
-        render, separator, tail = _json_columns, ",\n", _JSON_TAIL
-    else:
-        prefix, render, separator, tail = _CSV_HEADER, _csv_rows, "", ""
-    for _, m, h in _fold(_seeded_blocks(config), config.checkpoint_stride):
-        for text in _chunked(render, m, 2 * m - h):
-            yield prefix + text
-            prefix = separator
-    yield tail
+    ``run_simulation(config)``, rendered as the fold yields each block's
+    marks, so memory is one block for any n."""
+    # The JSON header needs the totals before any row.
+    head = _json_head(_totals(config)) if fmt == "json" else _CSV_HEADER
+    folded = _fold(_seeded_blocks(config), config.checkpoint_stride)
+    yield from _text(fmt, head, ((m, 2 * m - h) for _, m, h in folded))

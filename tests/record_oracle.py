@@ -11,6 +11,11 @@ import json
 from sbchain.simulation import _header
 
 
+def checkpoint_marks(total, stride):
+    """Every ``stride``-th unit below ``total``, then ``total``: a run's marks."""
+    return [*range(stride, total, stride), total]
+
+
 def record_to_json(record):
     checkpoints = [
         {"experiments": m, "awakenings": a, "halfer": h / m, "thirder": h / a}

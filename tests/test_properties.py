@@ -557,6 +557,50 @@ class TestRecordWriterOracle:
         assert_writers_match_oracle(forced_run(coins, checkpoint_stride=stride))
 
 
+# Counts up to 40, or on either side of 2**53 (the largest mark) and of int64.
+domain_counts = st.integers(1, 40) | st.sampled_from([2**53, 2**53 + 1, 2**63 - 1, 2**63, 2**64])
+
+
+@st.composite
+def checkpoint_records(draw):
+    """Records of (m, a) with m, a >= 1, inside the writers' domain or just
+    outside it, with or without a config whose marks they may follow."""
+    config = draw(st.none() | st.builds(
+        SimulationConfig, st.integers(0, 2**64 - 1), domain_counts, domain_counts
+    ))
+    if config is not None and draw(st.booleans()):
+        n, stride = config.n_experiments, config.checkpoint_stride
+        # A mark list too long to draw quickly becomes its last mark alone.
+        marks = record_oracle.checkpoint_marks(n, stride) if -(-n // stride) <= 40 else [n]
+    else:
+        marks = draw(st.lists(domain_counts, min_size=1, max_size=6))
+        if draw(st.booleans()):
+            marks = sorted(set(marks))
+    if draw(st.booleans()):  # awakenings on and just past the edges of [m, 2m]
+        pairs = [(m, draw(st.sampled_from([max(m - 1, 1), m, 2 * m, 2 * m + 1]))) for m in marks]
+    else:
+        pairs = [(m, draw(st.integers(m, 2 * m))) for m in marks]
+    return SimulationRecord(config, tuple(Checkpoint(m, a) for m, a in pairs))
+
+
+class TestRecordDomain:
+    @given(checkpoint_records())
+    @settings(deadline=None)
+    def test_writers_refuse_exactly_what_the_reader_refuses(self, record):
+        # The oracle writes any record; only the reader decides if it is one.
+        try:
+            read = record_from_json(record_oracle.record_to_json(record))
+        except ValueError:
+            read = None
+        if read is None:
+            for write in (record_to_json, record_to_csv):
+                with pytest.raises(ValueError):
+                    write(record)
+        else:
+            assert read == record
+            assert_writers_match_oracle(record)
+
+
 # Any finite float. Hypothesis draws subnormals and extremes on its own; the
 # listed values also put the smallest and largest magnitudes into one f.
 finite_floats = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(

@@ -96,6 +96,7 @@ class TestHugeRationals:
 
 HUGE = 10**5000
 SBP = sbp_model.sbp_chain()
+M_T_HUGE = {**simulation.indicator(sbp_model.Awakening.M_H), sbp_model.Awakening.M_T: HUGE}
 
 
 class TestHugeIntDiagnostics:
@@ -103,29 +104,46 @@ class TestHugeIntDiagnostics:
     "Exceeds the limit" message."""
 
     @pytest.mark.parametrize(
-        "call, message",
+        "call, message, tail",
         [
-            (lambda: markov_core.matrix_power(SBP.matrix, -HUGE), "matrix power needs n >= 0"),
-            (lambda: markov_core.n_step_distribution(SBP, -HUGE), "step index must be >= 1"),
-            (lambda: markov_core.convergence_report(SBP, -HUGE), "n_max must be >= 1"),
-            (lambda: sbp_model.exact_distribution(-HUGE), "awakening index must be >= 1"),
-            (lambda: simulation.SimulationConfig(HUGE, 1, 1), "seed must be a 64-bit"),
-            (lambda: simulation.SimulationConfig(0, -HUGE, 1), "n_experiments must be >= 1"),
-            (lambda: simulation.SimulationConfig(0, 1, -HUGE), "checkpoint_stride must be >= 1"),
-            (lambda: simulation.forced_run("H", -HUGE), "checkpoint_stride must be >= 1"),
+            (lambda: markov_core.matrix_power(SBP.matrix, -HUGE), "matrix power needs n >= 0", ""),
+            (lambda: markov_core.n_step_distribution(SBP, -HUGE), "step index must be >= 1", ""),
+            (lambda: markov_core.convergence_report(SBP, -HUGE), "n_max must be >= 1", ""),
+            (lambda: sbp_model.exact_distribution(-HUGE), "awakening index must be >= 1", ""),
+            (lambda: simulation.SimulationConfig(HUGE, 1, 1), "seed must be a 64-bit", ""),
+            (lambda: simulation.SimulationConfig(0, -HUGE, 1), "n_experiments must be >= 1", ""),
+            (lambda: simulation.SimulationConfig(0, 1, -HUGE), "checkpoint_stride must be >= 1",
+             ""),
+            (lambda: simulation.forced_run("H", -HUGE), "checkpoint_stride must be >= 1", ""),
+            (lambda: markov_core.period(SBP.matrix, HUGE), "state index ",
+             " out of range for 3 states"),
+            (lambda: simulation.lln_trace(simulation.SimulationConfig(0, 1, 1), M_T_HUGE),
+             "f(M_T) must be a finite real number, got ", ""),
+            (lambda: sbp_model.project_labels([HUGE]), "position 0: expected an Awakening", ""),
+            (lambda: sbp_model.decode_observations([HUGE]),
+             "position 0: expected an Observation", ""),
+            (lambda: sbp_model.validate_labeled_sequence([HUGE]),
+             "position 0: expected an Awakening", ""),
+            (lambda: sbp_model.parse_coin_tokens([HUGE]), "not a coin toss: ",
+             " (expected H or T)"),
+            (lambda: simulation.forced_run([HUGE]), "not a coin toss: ", " (expected H or T)"),
+            (lambda: sbp_model.parse_labeled_tokens([HUGE]), "not an awakening token: ",
+             " (expected MH, MT, TU, or ?)"),
         ],
         ids=[
             "matrix_power", "n_step_distribution", "convergence_report",
             "exact_distribution", "config_seed", "config_n_experiments",
-            "config_checkpoint_stride", "forced_run",
+            "config_checkpoint_stride", "forced_run", "period", "lln_trace",
+            "project_labels", "decode_observations", "validate_labeled_sequence",
+            "parse_coin_tokens", "forced_run_coins", "parse_labeled_tokens",
         ],
     )
-    def test_message_names_the_value(self, call, message):
+    def test_message_names_the_value(self, call, message, tail):
         with pytest.raises(ValueError) as caught:
             call()
         text = str(caught.value)
         assert text.startswith(message)
-        assert text.endswith("1" + "0" * 5000)
+        assert text.endswith("1" + "0" * 5000 + tail)
 
 
 class TestAsExact:

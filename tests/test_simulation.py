@@ -22,7 +22,6 @@ from sbchain.simulation import (
     SimulationRecord,
     StateCounts,
     _block_heads,
-    _checkpoint_marks,
     _fold,
     forced_run,
     halfer_statistic,
@@ -37,6 +36,7 @@ from sbchain.simulation import (
 )
 import record_oracle
 import toss_oracle
+from record_oracle import checkpoint_marks
 
 
 class TestConfig:
@@ -127,14 +127,19 @@ class TestForcedRun:
 
 
 class TestCheckpointMarks:
+    @staticmethod
+    def marks(n, stride):
+        checkpoints = run_simulation(SimulationConfig(0, n, stride)).checkpoints
+        return [c.experiments for c in checkpoints]
+
     def test_exact_multiple(self):
-        assert _checkpoint_marks(100, 25) == [25, 50, 75, 100]
+        assert self.marks(100, 25) == [25, 50, 75, 100]
 
     def test_remainder_appends_final(self):
-        assert _checkpoint_marks(10, 4) == [4, 8, 10]
+        assert self.marks(10, 4) == [4, 8, 10]
 
     def test_stride_larger_than_total(self):
-        assert _checkpoint_marks(3, 100) == [3]
+        assert self.marks(3, 100) == [3]
 
 
 class TestDeterminism:
@@ -195,7 +200,7 @@ class TestFoldPastInt32:
         heads = [0, *itertools.accumulate(block.tolist())]
         units = [2 * j - h for j, h in enumerate(heads)] if per_awakening else list(range(n + 1))
         expected = []
-        for q in _checkpoint_marks(self.REPEATS * units[-1], self.STRIDE):
+        for q in checkpoint_marks(self.REPEATS * units[-1], self.STRIDE):
             k, r = divmod(q, units[-1])
             j = bisect.bisect_right(units, r) - 1
             expected.append((q, k * n + j, k * heads[-1] + heads[j]))
@@ -270,29 +275,24 @@ class TestSerialization:
         record = run_simulation(SimulationConfig(seed=3, n_experiments=rows, checkpoint_stride=1))
         assert record_to_csv(record) == record_oracle.record_to_csv(record)
 
-    def test_csv_of_no_checkpoints_is_the_header(self):
-        assert record_to_csv(SimulationRecord(None, ())) == (
-            "experiments,awakenings,halfer,thirder,freq_MH,freq_MT,freq_TU\n"
-        )
-
-    def test_csv_rows_of_a_run_are_rendered_in_bulk(self, monkeypatch):
-        # Only counts no run makes go through the per-row writer.
-        record = run_simulation(SimulationConfig(4, 3 * BLOCK_SIZE, 1))
-        expected = record_oracle.record_to_csv(record)
-        monkeypatch.delattr(simulation, "_format_rows")
-        assert record_to_csv(record) == expected
-
+    @pytest.mark.parametrize("write", [record_to_json, record_to_csv])
     @pytest.mark.parametrize(
-        "checkpoints",
-        [((2**63, 2**63),), ((5, 3),), ((3, 7),), ((-2, -3),), ((1, 2), (2**62, 2**63 - 1))],
+        "config, checkpoints, message",
+        [
+            pytest.param(None, (), "at least one checkpoint", id="empty"),
+            pytest.param(None, ((0, 0),), "within", id="zero-experiments"),
+            pytest.param(None, ((3, 2),), r"\[m, 2m\]", id="awakenings-below-m"),
+            pytest.param(None, ((3, 7),), r"\[m, 2m\]", id="awakenings-above-2m"),
+            pytest.param(None, ((2**53 + 1, 2**53 + 2),), "within", id="mark-above-2-to-53"),
+            pytest.param(None, ((2**64, 2**64),), "within", id="mark-past-int64"),
+            pytest.param(None, ((2, 3), (2, 3)), "strictly increase", id="repeated-mark"),
+            pytest.param(SimulationConfig(0, 4, 2), ((1, 2), (4, 6)), "config", id="not-config"),
+        ],
     )
-    def test_csv_of_counts_no_run_makes(self, checkpoints):
-        record = SimulationRecord(None, tuple(Checkpoint(m, a) for m, a in checkpoints))
-        assert record_to_csv(record) == record_oracle.record_to_csv(record)
-
-    def test_csv_of_zero_experiments_divides_by_zero(self):
-        with pytest.raises(ZeroDivisionError):
-            record_to_csv(SimulationRecord(None, (Checkpoint(0, 0),)))
+    def test_writers_refuse_what_the_reader_refuses(self, write, config, checkpoints, message):
+        record = SimulationRecord(config, tuple(Checkpoint(m, a) for m, a in checkpoints))
+        with pytest.raises(ValueError, match=message):
+            write(record)
 
 
 class TestLLNTrace:
@@ -474,7 +474,8 @@ class TestRecordFromJson:
 
     @pytest.mark.parametrize("m", [2**53 + 1, 2**64])
     def test_marks_above_2_to_53_rejected(self, m):
-        text = record_to_json(SimulationRecord(None, (Checkpoint(m, m + 1),)))
+        # The oracle writes through json.dumps; record_to_json refuses these.
+        text = record_oracle.record_to_json(SimulationRecord(None, (Checkpoint(m, m + 1),)))
         with pytest.raises(ValueError, match=r"within \[1, 2\*\*53\]"):
             record_from_json(text)
 
@@ -545,7 +546,7 @@ def assert_matches_oracle(record, heads, stride, config):
     assert record.heads_experiments == record.heads_awakenings == total
     assert record.state_counts == StateCounts(total, n - total, n - total)
     expected = []
-    for m in _checkpoint_marks(n, stride):
+    for m in checkpoint_marks(n, stride):
         h = int(heads_cum[m - 1])
         expected.append((m, 2 * m - h, h / m, h / (2 * m - h)))
     observed = [(c.experiments, c.awakenings, c.halfer, c.thirder) for c in record.checkpoints]
@@ -564,7 +565,7 @@ def oracle_trace(heads, stride, f):
     cum_mt = np.cumsum(states == 1, dtype=np.int64)
     exact_f = [Fraction(f[s]) for s in (Awakening.M_H, Awakening.M_T, Awakening.TU)]
     averages = []
-    for n in _checkpoint_marks(total, stride):
+    for n in checkpoint_marks(total, stride):
         c_mh, c_mt = int(cum_mh[n - 1]), int(cum_mt[n - 1])
         c_tu = n - c_mh - c_mt
         avg = (c_mh * exact_f[0] + c_mt * exact_f[1] + c_tu * exact_f[2]) / n
