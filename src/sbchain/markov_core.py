@@ -92,12 +92,6 @@ class StateSpace:
     def size(self) -> int:
         return len(self.labels)
 
-    def index_of(self, label: str) -> int:
-        try:
-            return self.labels.index(label)
-        except ValueError:
-            raise KeyError(f"unknown state label: {label!r}") from None
-
 
 def _stochastic(values: Sequence[Fraction | int | str], name: str) -> tuple[Fraction, ...]:
     """``values`` as exact Fractions, checked to lie in [0, 1] and sum to 1.

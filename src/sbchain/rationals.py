@@ -64,7 +64,10 @@ def _decimal(n: int) -> str:
 
 
 def _shown(value) -> str:
-    """``repr(value)``, with an int written whole by :func:`_decimal`."""
+    """``repr(value)``, with an int and each part of a Fraction written whole
+    by :func:`_decimal`."""
+    if type(value) is Fraction:
+        return f"Fraction({_decimal(value.numerator)}, {_decimal(value.denominator)})"
     return _decimal(value) if type(value) is int else repr(value)
 
 

@@ -325,11 +325,14 @@ _DOMAIN = "checkpoint experiments must strictly increase within [1, 2**53], awak
 
 def _checkpoint_columns(record: SimulationRecord) -> tuple[np.ndarray, np.ndarray]:
     """int64 columns m and a of the record's checkpoints (m, a); ValueError
-    unless there is one or more, m strictly increases within [1, 2**53], each
-    a lies in [m, 2m], and the marks are the config's."""
+    unless there is one or more, every count is an int, m strictly increases
+    within [1, 2**53], each a lies in [m, 2m], and the marks are the config's."""
     n = len(record.checkpoints)
     if n < 1:
         raise ValueError("a record needs at least one checkpoint")
+    # np.fromiter would cast a float, a bool or a numpy int without a word.
+    if not set(map(type, chain.from_iterable(record.checkpoints))) <= {int}:
+        raise ValueError("checkpoint experiments and awakenings must be ints")
     try:
         columns = np.fromiter(chain.from_iterable(record.checkpoints), np.int64, 2 * n)
     except OverflowError:  # a count past int64
@@ -402,8 +405,6 @@ def record_from_json(text: str) -> SimulationRecord:
     # leaves no room for another key.
     if set(map(len, items)) - {len(_CHECKPOINT_FIELDS)}:
         raise ValueError(f"each checkpoint must have exactly the keys {_CHECKPOINT_FIELDS}")
-    if not set(map(type, exps)) | set(map(type, wakes)) <= {int}:
-        raise ValueError("checkpoint experiments and awakenings must be ints")
     if not set(map(type, halfer)) | set(map(type, thirder)) <= {float}:
         raise ValueError("checkpoint halfer and thirder must be floats")
     record = SimulationRecord(config, _make_checkpoints(exps, wakes))
@@ -430,54 +431,33 @@ def record_from_json(text: str) -> SimulationRecord:
 
 _CSV_HEADER = "experiments,awakenings,halfer,thirder,freq_MH,freq_MT,freq_TU\n"
 
-# Powers of ten an int64 holds, 10**0 .. 10**18.
-_POW10 = np.array([10**i for i in range(19)], np.int64)
-# ASCII "0" added to the last s of a word's 8 digit bytes, s = 0 .. 8, so
-# that a number's leading zeros stay NUL.
-_ASCII_ZERO = np.array(
-    [(0x3030303030303030 << 8 * (8 - s)) % 2**64 for s in range(9)], np.uint64
-)
+# "0000" .. "9999" as little-endian words of four ASCII digits, indexed by
+# value; _TOP is the same with NUL in place of leading zeros (0 is four NULs),
+# for a number's top group.
+_GROUP = np.frombuffer(("%04d" * 10**4 % (*range(10**4),)).encode(), "<u4")
+_TOP = np.frombuffer(("%4s" * 10**4 % ("", *range(1, 10**4))).replace(" ", "\0").encode(), "<u4")
 # y = x * 1e6 for a float64 x in [0, 1] lies within 2**-34 of the exact
 # x·10**6, so rint(y) is the correctly rounded ".6f" value of x unless y lies
 # this close to a half-integer.
 _NEAR_TIE = 1e-6
-# The comma, the five "d.dddddd" frequencies between commas, and the newline
-# that follow the awakenings in each row.
-_ROW_TAIL = 46
 
 
-def _digit_words(x: np.ndarray) -> np.ndarray:
-    """uint64 words whose little-endian bytes are the 8 decimal digits of each
-    uint64 x < 10**8 (byte values 0-9), most significant digit first."""
-    # Four digits per 32-bit lane, then two per 16-bit lane, then one per
-    # byte; (v * 10486) >> 20 is v // 100 for v < 10**4, (v * 103) >> 10 is
-    # v // 10 for v < 100, and the masks keep each lane's quotient.
-    q = x // 10**4
-    w = q | ((x - q * 10**4) << 32)
-    q = ((w * 10486) >> 20) & 0x0000007F0000007F
-    w = q | ((w - 100 * q) << 16)
-    q = ((w * 103) >> 10) & 0x000F000F000F000F
-    return q | ((w - 10 * q) << 8)
-
-
-def _decimal_bytes(x: np.ndarray) -> np.ndarray:
-    """ASCII digits of each int64 x >= 1, one row each, right-aligned to the
-    longest, with NUL in place of leading zeros."""
-    digits = np.searchsorted(_POW10, x, side="right")
-    width = int(digits.max())
-    words = -(-width // 8)
-    out = np.empty((len(x), words), "<u8")
-    x = x.astype(np.uint64)
-    for j in range(words):  # the last word holds the 8 lowest digits
-        q = x // 10**8
-        low = _digit_words(x - q * 10**8)
-        out[:, -1 - j] = low + _ASCII_ZERO[np.clip(digits - 8 * j, 0, 8)]
+def _digits(x: np.ndarray, groups: int, top: np.ndarray = _TOP) -> np.ndarray:
+    """ASCII digits of each int64 x >= 0, one uint8 row of ``4 * groups``
+    bytes each, right-aligned; ``top`` renders the group that holds a
+    number's leading digit, so that with ``_TOP`` its leading zeros are NUL."""
+    out = np.empty((len(x), groups), "<u4")
+    for j in reversed(range(groups)):  # the lowest group first
+        q = x // 10**4
+        r = x - q * 10**4
+        out[:, j] = np.where(q > 0, _GROUP[r], top[r])
         x = q
-    return out.view(np.uint8)[:, 8 * words - width:]
+    return out.view(np.uint8)
 
 
-def _frequency_bytes(m: np.ndarray, a: np.ndarray) -> np.ndarray:
-    """The ASCII ".6f" of h/m, h/a and (a - m)/a, shape (3, len(m), 8).
+def _millionths(m: np.ndarray, a: np.ndarray) -> np.ndarray:
+    """h/m, h/a and (a - m)/a as ".6f" values in millionths, int64 of shape
+    (3, len(m)).
 
     Each x = num / den is a float64 quotient, which is Python's correctly
     rounded int / int while den <= 2**53. Rows with a > 2**53, or a frequency
@@ -488,32 +468,34 @@ def _frequency_bytes(m: np.ndarray, a: np.ndarray) -> np.ndarray:
     y = np.stack([h / m, h / a, t / a]) * 1e6
     k = np.rint(y)
     near = (np.abs(y - k) > 0.5 - _NEAR_TIE).any(axis=0) | (a > 2**53)
-    k = k.astype(np.uint64)
+    k = k.astype(np.int64)
     for i in np.flatnonzero(near).tolist():
         mi, ai = int(m[i]), int(a[i])
         hi = 2 * mi - ai
         k[:, i] = [int(f"{x:.6f}".replace(".", "")) for x in (hi / mi, hi / ai, (ai - mi) / ai)]
-    # "d.dddddd" is the 6 digits of k % 10**6 behind "d." for d = k // 10**6.
-    whole = k // 10**6
-    words = _digit_words(k - whole * 10**6) + whole + 0x3030303030302E30
-    return words.astype("<u8", copy=False).view(np.uint8).reshape(3, len(m), 8)
+    return k
 
 
 def _csv_rows(m: np.ndarray, a: np.ndarray) -> str:
     """CSV rows of the checkpoints in int64 columns m and a, which
     :func:`_checkpoint_columns` accepts, built as one byte matrix with a row
     per checkpoint."""
-    freq = _frequency_bytes(m, a)
-    digits_m, digits_a = _decimal_bytes(m), _decimal_bytes(a)
-    wm = digits_m.shape[1]
-    o = wm + 1 + digits_a.shape[1]
-    rows = np.empty((len(m), o + _ROW_TAIL), np.uint8)
-    rows[:, :wm] = digits_m
-    rows[:, wm + 1:o] = digits_a
-    rows[:, wm] = rows[:, o::9] = ord(",")
-    for j, f in enumerate((0, 1, 1, 2, 2)):
-        rows[:, o + 9 * j + 1:o + 9 * j + 9] = freq[f]
-    rows[:, -1] = ord("\n")
+    n = len(m)
+    # Each k <= 10**6 as eight digits, "0d" and six decimals; moving the d
+    # left and a "." into its place gives "d.dddddd".
+    freq = _digits(_millionths(m, a).ravel(), 2, _GROUP).reshape(3, n, 8)
+    freq[:, :, 0] = freq[:, :, 1]
+    freq[:, :, 1] = ord(".")
+    # Each column keeps only its largest number's digits, so the NUL replace
+    # has nothing to remove where a chunk's numbers are all as wide; a >= m,
+    # but a need not grow with m.
+    wm, wa = len(str(m.max())), len(str(a.max()))
+    counts = _digits(np.concatenate([m, a]), -(-wa // 4))
+    comma = np.full((n, 1), ord(","), np.uint8)
+    rows = np.hstack([
+        counts[:n, -wm:], comma, counts[n:, -wa:], comma, freq[0], comma, freq[1], comma,
+        freq[1], comma, freq[2], comma, freq[2], np.full((n, 1), ord("\n"), np.uint8),
+    ])
     return str(rows, "ascii").replace("\0", "")
 
 

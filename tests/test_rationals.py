@@ -97,11 +97,12 @@ class TestHugeRationals:
 HUGE = 10**5000
 SBP = sbp_model.sbp_chain()
 M_T_HUGE = {**simulation.indicator(sbp_model.Awakening.M_H), sbp_model.Awakening.M_T: HUGE}
+M_T_HUGE_FRACTION = {**M_T_HUGE, sbp_model.Awakening.M_T: Fraction(HUGE, 3)}
 
 
 class TestHugeIntDiagnostics:
-    """A rejected int past the digit limit is written whole, not as CPython's
-    "Exceeds the limit" message."""
+    """A rejected int, or a Fraction part, past the digit limit is written
+    whole, not as CPython's "Exceeds the limit" message."""
 
     @pytest.mark.parametrize(
         "call, message, tail",
@@ -120,6 +121,10 @@ class TestHugeIntDiagnostics:
             (lambda: simulation.lln_trace(simulation.SimulationConfig(0, 1, 1), M_T_HUGE),
              "f(M_T) must be a finite real number, got ", ""),
             (lambda: sbp_model.project_labels([HUGE]), "position 0: expected an Awakening", ""),
+            (lambda: sbp_model.project_labels([Fraction(HUGE, 3)]),
+             "position 0: expected an Awakening, got Fraction(1", ", 3)"),
+            (lambda: simulation.lln_trace(simulation.SimulationConfig(0, 1, 1), M_T_HUGE_FRACTION),
+             "f(M_T) must be a finite real number, got Fraction(1", ", 3)"),
             (lambda: sbp_model.decode_observations([HUGE]),
              "position 0: expected an Observation", ""),
             (lambda: sbp_model.validate_labeled_sequence([HUGE]),
@@ -134,7 +139,8 @@ class TestHugeIntDiagnostics:
             "matrix_power", "n_step_distribution", "convergence_report",
             "exact_distribution", "config_seed", "config_n_experiments",
             "config_checkpoint_stride", "forced_run", "period", "lln_trace",
-            "project_labels", "decode_observations", "validate_labeled_sequence",
+            "project_labels", "project_labels_fraction", "lln_trace_fraction",
+            "decode_observations", "validate_labeled_sequence",
             "parse_coin_tokens", "forced_run_coins", "parse_labeled_tokens",
         ],
     )

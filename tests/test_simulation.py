@@ -275,6 +275,19 @@ class TestSerialization:
         record = run_simulation(SimulationConfig(seed=3, n_experiments=rows, checkpoint_stride=1))
         assert record_to_csv(record) == record_oracle.record_to_csv(record)
 
+    def test_csv_at_digit_count_boundaries(self):
+        # Marks on each side of every power of ten a mark can reach, and 2**53,
+        # with a = m, m + 1 and 2m: every digit count is the first or last of
+        # its group of four (and of its word of eight), alone in a record, so
+        # that it sets the record's width, and among all the others.
+        marks = [*(m for k in range(1, 16) for m in (10**k - 1, 10**k)), 2**53]
+        for wakes in (lambda m: m, lambda m: m + 1, lambda m: 2 * m):
+            checkpoints = [Checkpoint(m, wakes(m)) for m in marks]
+            for record in [SimulationRecord(None, (c,)) for c in checkpoints] + [
+                SimulationRecord(None, tuple(checkpoints))
+            ]:
+                assert record_to_csv(record) == record_oracle.record_to_csv(record)
+
     @pytest.mark.parametrize("write", [record_to_json, record_to_csv])
     @pytest.mark.parametrize(
         "config, checkpoints, message",
@@ -287,6 +300,10 @@ class TestSerialization:
             pytest.param(None, ((2**64, 2**64),), "within", id="mark-past-int64"),
             pytest.param(None, ((2, 3), (2, 3)), "strictly increase", id="repeated-mark"),
             pytest.param(SimulationConfig(0, 4, 2), ((1, 2), (4, 6)), "config", id="not-config"),
+            pytest.param(None, ((2.0, 3.0),), "must be ints", id="float-counts"),
+            pytest.param(None, ((2.5, 3),), "must be ints", id="fractional-mark"),
+            pytest.param(None, ((True, True),), "must be ints", id="bool-counts"),
+            pytest.param(None, ((np.int64(2), np.int64(3)),), "must be ints", id="numpy-int64"),
         ],
     )
     def test_writers_refuse_what_the_reader_refuses(self, write, config, checkpoints, message):
