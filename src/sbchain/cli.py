@@ -13,24 +13,26 @@ Subcommands:
 
 Every command is a thin adapter over the library modules; reports go to
 stdout, diagnostics to stderr. Exit codes: 0 success, 2 usage/parse error,
-3 invalid chain, 4 internal consistency failure.
+3 invalid chain, 4 internal consistency failure, 141 stdout closed early.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from fractions import Fraction
 
 from . import markov_core, sbp_model
 from .markov_core import Chain, MarkovError
-from .rationals import format_rational, parse_rational
+from .rationals import as_exact, format_rational
 
 EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_INVALID_CHAIN = 3
 EXIT_INTERNAL = 4
+EXIT_CLOSED_PIPE = 141  # as a shell reports a tool that SIGPIPE ended
 
 
 class ChainSpecError(ValueError):
@@ -38,19 +40,10 @@ class ChainSpecError(ValueError):
 
 
 def _spec_rational(value, where: str) -> Fraction:
-    if isinstance(value, (bool, float)):
-        kind = "booleans" if isinstance(value, bool) else "floats"
-        raise ChainSpecError(
-            f"{where}: {kind} are not accepted; write rationals as strings like \"1/2\""
-        )
-    if isinstance(value, int):
-        return Fraction(value)
-    if isinstance(value, str):
-        try:
-            return parse_rational(value)
-        except ValueError as exc:
-            raise ChainSpecError(f"{where}: {exc}") from None
-    raise ChainSpecError(f"{where}: expected a rational string, got {value!r}")
+    try:
+        return as_exact(value)
+    except (TypeError, ValueError) as exc:
+        raise ChainSpecError(f"{where}: {exc}") from None
 
 
 def load_chain_spec(text: str) -> Chain:
@@ -72,6 +65,10 @@ def load_chain_spec(text: str) -> Chain:
         raise ChainSpecError("invalid JSON: nested too deeply") from None
     if not isinstance(doc, dict):
         raise ChainSpecError("chain spec must be a JSON object")
+    # A misspelt field, such as "inital", would otherwise be dropped unseen.
+    unknown = ", ".join(map(json.dumps, sorted(doc.keys() - {"states", "matrix", "initial"})))
+    if unknown:
+        raise ChainSpecError(f'unknown fields {unknown}; a chain spec has "states", "matrix", "initial"')
     states = doc.get("states")
     if not isinstance(states, list) or not all(isinstance(s, str) for s in states):
         raise ChainSpecError('field "states" must be an array of strings')
@@ -141,36 +138,20 @@ def cmd_analyze(args) -> int:
     return EXIT_OK
 
 
-# One row of `exact --format json` as json.dumps(rows, indent=2) lays it
-# out; rationals print as digits, "-" and "/", which json never escapes.
-_EXACT_JSON_ROW = (
-    '  {\n    "n": %d,\n    "recursion": [\n      "%s"\n    ],\n'
-    '    "closed_form": [\n      "%s"\n    ],\n    "equal": %s,\n'
-    '    "tv_to_stationary": "%s"\n  }'
-)
-_EXACT_TEXT_ROW = "{:>4}  {:<28}  {:<28}  {:<6}  {}"
-# Per format: the text before the first row, between two rows, and after the last.
-_EXACT_FRAME = {
-    "json": ("[\n", ",\n", "\n]\n"),
-    "csv": ("n,recursion,closed_form,equal,tv_to_stationary\n", "\n", "\n"),
-    "text": (
-        _EXACT_TEXT_ROW.format("n", "recursion", "closed form", "equal", "tv to stationary\n"),
-        "\n",
-        "\n",
-    ),
+# Per format of `exact`: the text before the first row, between two rows and
+# after the last; the join of a law's formatted weights; and one row, filled
+# with (n, recursion, closed form, equal, tv). A JSON row is one element of
+# json.dumps(rows, indent=2); rationals print as digits, "-" and "/", which
+# json never escapes.
+_EXACT_FORMATS = {
+    "json": ("[\n", ",\n", "\n]\n", '",\n      "'.join,
+             '  {\n    "n": %d,\n    "recursion": [\n      "%s"\n    ],\n'
+             '    "closed_form": [\n      "%s"\n    ],\n    "equal": %s,\n'
+             '    "tv_to_stationary": "%s"\n  }'),
+    "csv": ("n,recursion,closed_form,equal,tv_to_stationary\n", "\n", "\n", " ".join, "%d,%s,%s,%s,%s"),
+    "text": ("   n  recursion                     closed form                   equal   tv to stationary\n",
+             "\n", "\n", lambda weights: f"[{', '.join(weights)}]", "%4d  %-28s  %-28s  %-6s  %s"),
 }
-
-
-def _exact_row(fmt: str, n: int, rec, clo, equal: bool, tv: Fraction) -> str:
-    eq, tv = str(equal).lower(), format_rational(tv)
-    # Equal laws print alike, so the closed form is formatted only when it differs.
-    rec = [format_rational(w) for w in rec.weights]
-    clo = rec if equal else [format_rational(w) for w in clo.weights]
-    if fmt == "json":
-        return _EXACT_JSON_ROW % (n, '",\n      "'.join(rec), '",\n      "'.join(clo), eq, tv)
-    if fmt == "csv":
-        return f"{n},{' '.join(rec)},{' '.join(clo)},{eq},{tv}"
-    return _EXACT_TEXT_ROW.format(n, f"[{', '.join(rec)}]", f"[{', '.join(clo)}]", eq, tv)
 
 
 def cmd_exact(args) -> int:
@@ -178,14 +159,17 @@ def cmd_exact(args) -> int:
         print(f"error: --n-max must be >= 1, got {args.n_max}", file=sys.stderr)
         return EXIT_USAGE
     rows = markov_core._convergence_rows(sbp_model.sbp_chain(), args.n_max)
-    prefix, separator, suffix = _EXACT_FRAME[args.format]
+    prefix, separator, suffix, join, row = _EXACT_FORMATS[args.format]
     # Each row is written as soon as it is made, so memory stays one row.
     all_equal = True
     for n, recursion, distance in rows:
         closed = sbp_model.exact_distribution(n)
         equal = recursion == closed
         all_equal &= equal
-        sys.stdout.write(prefix + _exact_row(args.format, n, recursion, closed, equal, distance))
+        rec = join(map(format_rational, recursion.weights))
+        # Equal laws print alike, so the closed form is formatted only when it differs.
+        clo = rec if equal else join(map(format_rational, closed.weights))
+        sys.stdout.write(prefix + row % (n, rec, clo, str(equal).lower(), format_rational(distance)))
         prefix = separator
     sys.stdout.write(suffix)
     if not all_equal:
@@ -303,17 +287,22 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
-    except ChainSpecError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        code = args.func(args)
+        # A reader that closed stdout early shows here, not at exit.
+        sys.stdout.flush()
+        return code
     except MarkovError as exc:
         print(f"error: invalid chain: {exc}", file=sys.stderr)
         return EXIT_INVALID_CHAIN
     except ValueError as exc:
-        # Token/sequence errors from convert, bad numeric flags.
+        # Malformed chain specs, token/sequence errors, bad numeric flags.
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except BrokenPipeError:
+        # As `| head` does. Python flushes stdout at exit; pointing it at
+        # devnull keeps that flush from raising again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_CLOSED_PIPE
 
 
 if __name__ == "__main__":

@@ -444,9 +444,7 @@ def _convergence_rows(chain: Chain, n_max: int) -> Iterator[ConvergenceRow]:
         raise NotErgodic("convergence report requires an ergodic transition matrix")
     if chain.initial is None:
         raise MissingInitialDistribution("convergence report needs an initial distribution")
-    require_int("n_max", n_max)
-    if n_max < 1:
-        raise ValueError(f"n_max must be >= 1, got {_decimal(n_max)}")
+    require_int("n_max", n_max, 1)
     (p,), q = _scaled((_stationary(chain.matrix).weights,))
     a, d = _scaled(chain.matrix.rows)
     (w,), den = _scaled((chain.initial.weights,))

@@ -89,6 +89,7 @@ def as_exact(value: Fraction | int | str) -> Fraction:
     Floats are refused: silently accepting them would smuggle binary rounding
     into identities that are checked by exact comparison. Booleans are
     refused too: ``True`` is an int to Python but never a probability here.
+    Any other type raises TypeError; a malformed string raises ValueError.
     """
     if isinstance(value, Fraction):
         return value
@@ -96,13 +97,20 @@ def as_exact(value: Fraction | int | str) -> Fraction:
         return Fraction(value)
     if isinstance(value, str):
         return parse_rational(value)
+    if isinstance(value, (bool, float)):
+        refused = "booleans are not" if isinstance(value, bool) else "floats are not"
+    else:
+        refused = "only Fractions, ints and strings are"
     raise TypeError(
-        f"exact rational required, got {type(value).__name__}: {value!r}"
-        " (floats are not accepted in exact-analysis inputs)"
+        f"{refused} accepted, got {type(value).__name__}: {_shown(value)};"
+        ' write rationals as strings like "1/2"'
     )
 
 
-def require_int(name: str, value) -> None:
-    """Raise ValueError unless ``value`` is an int; bools are refused."""
+def require_int(name: str, value, low: int | None = None) -> None:
+    """Raise ValueError unless ``value`` is an int, bools refused, and at
+    least ``low`` when one is given."""
     if isinstance(value, bool) or not isinstance(value, int):
-        raise ValueError(f"{name} must be an int, got {value!r}")
+        raise ValueError(f"{name} must be an int, got {_shown(value)}")
+    if low is not None and value < low:
+        raise ValueError(f"{name} must be >= {low}, got {_decimal(value)}")

@@ -52,13 +52,11 @@ class SimulationConfig:
     checkpoint_stride: int
 
     def __post_init__(self):
-        for name in ("seed", "n_experiments", "checkpoint_stride"):
-            require_int(name, getattr(self, name))
+        require_int("seed", self.seed)
         if not 0 <= self.seed < 2**64:
             raise ValueError(f"seed must be a 64-bit unsigned integer, got {_decimal(self.seed)}")
-        for name in ("n_experiments", "checkpoint_stride"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be >= 1, got {_decimal(getattr(self, name))}")
+        require_int("n_experiments", self.n_experiments, 1)
+        require_int("checkpoint_stride", self.checkpoint_stride, 1)
 
 
 class StateCounts(NamedTuple):
@@ -224,9 +222,7 @@ def forced_run(
     tosses = parse_coin_tokens(coins)
     if not tosses:
         raise EmptyInput("cannot run a simulation on an empty coin sequence")
-    require_int("checkpoint_stride", checkpoint_stride)
-    if checkpoint_stride < 1:
-        raise ValueError(f"checkpoint_stride must be >= 1, got {_decimal(checkpoint_stride)}")
+    require_int("checkpoint_stride", checkpoint_stride, 1)
     heads = np.fromiter(map(is_, tosses, repeat(Toss.HEADS)), np.uint8, len(tosses))
     blocks = (heads[i:i + BLOCK_SIZE] for i in range(0, len(heads), BLOCK_SIZE))
     return _record(blocks, checkpoint_stride)
@@ -296,7 +292,10 @@ def lln_trace(config: SimulationConfig, f: Mapping[Awakening, float]) -> LLNTrac
 
 
 def indicator(state: Awakening) -> dict[Awakening, float]:
-    """The function that is 1.0 on ``state`` and 0.0 elsewhere."""
+    """The function that is 1.0 on ``state`` and 0.0 elsewhere; ValueError
+    unless ``state`` is one of the chain's three states."""
+    if state not in _STATES:
+        raise ValueError(f"indicator needs M_H, M_T or TU, got {_shown(state)}")
     return {s: 1.0 if s is state else 0.0 for s in _STATES}
 
 

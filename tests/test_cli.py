@@ -70,6 +70,11 @@ class TestLoadChainSpec:
         with pytest.raises(ChainSpecError, match="matrix row 0, column 0"):
             load_chain_spec(doc)
 
+    def test_unknown_field_is_refused(self):
+        doc = json.dumps({"states": ["a"], "matrix": [["1"]], "inital": ["1"]})
+        with pytest.raises(ChainSpecError, match='^unknown fields "inital";'):
+            load_chain_spec(doc)
+
     def test_bad_initial_entry(self):
         doc = json.dumps(
             {"states": ["a"], "matrix": [["1"]], "initial": ["0.5"]}
@@ -189,6 +194,25 @@ class TestAnalyze:
         code, _, err = run_cli(capsys, "analyze", "--chain", str(spec))
         assert code == EXIT_USAGE
         assert "floats are not accepted" in err
+
+    def test_null_entry_exits_2(self, capsys, tmp_path):
+        spec = tmp_path / "null.json"
+        spec.write_text(json.dumps({"states": ["a", "b"], "matrix": [[1, 0], [None, 1]]}))
+        code, out, err = run_cli(capsys, "analyze", "--chain", str(spec))
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert err.startswith("error: matrix row 1, column 0: only Fractions, ints and strings")
+        assert "got NoneType: None" in err
+
+    def test_misspelt_field_exits_2(self, capsys, tmp_path):
+        spec = tmp_path / "typo.json"
+        spec.write_text(
+            json.dumps({"states": ["a"], "matrix": [["1"]], "inital": ["1"]})
+        )
+        code, out, err = run_cli(capsys, "analyze", "--chain", str(spec))
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert '"inital"' in err
 
     def test_missing_file_exits_2(self, capsys, tmp_path):
         code, _, err = run_cli(

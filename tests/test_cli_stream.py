@@ -128,6 +128,44 @@ def test_benchmark_cli_digest(workload):
     assert hashlib.sha256(cli_stdout(*argv).encode()).hexdigest() == digest
 
 
+# The benchmark pins only the JSON table; these pin the other two formats.
+@pytest.mark.parametrize(
+    "fmt, digest",
+    [
+        ("text", "ea3b0de8528de4d5ac68a80d5ff98cf1c42202c04198a28984934915e5a80c62"),
+        ("csv", "dcd6bba609520565c696729d56ae1143325d6d28fe564daecf8dd023de758e79"),
+    ],
+)
+def test_exact_table_digest(fmt, digest):
+    out = cli_stdout("exact", "--n-max", "60", "--format", fmt)
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("simulate", "--n", "2000000", "--stride", "1", "--format", "csv"),
+        ("exact", "--n-max", "2000", "--format", "csv"),
+    ],
+    ids=["simulate", "exact"],
+)
+def test_closed_stdout_exits_141_quietly(argv):
+    # Both write megabytes, far past what the pipe and stdout's buffer hold,
+    # so a write is still to come when the reader closes its end.
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "sbchain", *argv],
+        env={**os.environ, "PYTHONPATH": path},
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+    )
+    assert proc.stdout.readline()
+    proc.stdout.close()
+    assert proc.wait(timeout=120) == cli.EXIT_CLOSED_PIPE
+    assert proc.stderr.read() == b""
+    proc.stderr.close()
+
+
 # A child's ru_maxrss starts from the peak of the process that spawned it, and
 # this test process is far larger than the runs it measures. So a fresh
 # interpreter, small when it spawns, runs sbchain and reports what wait4 gives.

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sbchain import markov_core, sbp_model, simulation
-from sbchain.rationals import as_exact, format_rational, parse_rational
+from sbchain.rationals import as_exact, format_rational, parse_rational, require_int
 
 
 class TestParseRational:
@@ -94,6 +94,19 @@ class TestHugeRationals:
             parse_rational("1/" + "0" * 5000)
 
 
+class TestRequireInt:
+    def test_lower_bound_is_optional(self):
+        require_int("k", -5)
+        require_int("k", 1, 1)
+        with pytest.raises(ValueError, match=r"^k must be >= 1, got 0$"):
+            require_int("k", 0, 1)
+
+    @pytest.mark.parametrize("value, shown", [(True, "True"), (1.0, "1.0"), ("1", "'1'")])
+    def test_type_is_checked_before_the_bound(self, value, shown):
+        with pytest.raises(ValueError, match=rf"^k must be an int, got {shown}$"):
+            require_int("k", value, 1)
+
+
 HUGE = 10**5000
 SBP = sbp_model.sbp_chain()
 M_T_HUGE = {**simulation.indicator(sbp_model.Awakening.M_H), sbp_model.Awakening.M_T: HUGE}
@@ -166,3 +179,19 @@ class TestAsExact:
     def test_rejects_bool(self, value):
         with pytest.raises(TypeError, match="got bool"):
             as_exact(value)
+
+    def test_rejects_float_subclass_as_a_float(self):
+        class Real(float):
+            pass
+
+        with pytest.raises(TypeError, match="^floats are not accepted, got Real: 0.5;"):
+            as_exact(Real(0.5))
+
+    @pytest.mark.parametrize("value, shown", [(None, "NoneType: None"), (["1/2"], "list: ['1/2']")])
+    def test_other_types_name_the_accepted_kinds(self, value, shown):
+        with pytest.raises(TypeError) as caught:
+            as_exact(value)
+        assert str(caught.value) == (
+            f'only Fractions, ints and strings are accepted, got {shown};'
+            ' write rationals as strings like "1/2"'
+        )

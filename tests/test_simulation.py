@@ -320,6 +320,11 @@ class TestLLNTrace:
         _, final = trace.running_averages[-1]
         assert final == pytest.approx(1 / 3, abs=0.01)
 
+    @pytest.mark.parametrize("state", ["M_H", Awakening.UNDETERMINED])
+    def test_indicator_refuses_a_non_state(self, state):
+        with pytest.raises(ValueError, match="indicator needs M_H, M_T or TU"):
+            indicator(state)
+
     def test_constant_function_exact_at_every_checkpoint(self):
         c = 0.1
         f = {Awakening.M_H: c, Awakening.M_T: c, Awakening.TU: c}
