@@ -26,7 +26,7 @@ from fractions import Fraction
 
 from . import markov_core, sbp_model
 from .markov_core import Chain, MarkovError
-from .rationals import as_exact, format_rational
+from .rationals import as_exact, format_rational, require_int
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -155,9 +155,7 @@ _EXACT_FORMATS = {
 
 
 def cmd_exact(args) -> int:
-    if args.n_max < 1:
-        print(f"error: --n-max must be >= 1, got {args.n_max}", file=sys.stderr)
-        return EXIT_USAGE
+    require_int("--n-max", args.n_max, 1)
     rows = markov_core._convergence_rows(sbp_model.sbp_chain(), args.n_max)
     prefix, separator, suffix, join, row = _EXACT_FORMATS[args.format]
     # Each row is written as soon as it is made, so memory stays one row.

@@ -31,6 +31,7 @@ import gc
 import json
 import math
 import numbers
+import re
 
 import numpy as np
 
@@ -350,12 +351,6 @@ def _checkpoint_columns(record: SimulationRecord) -> tuple[np.ndarray, np.ndarra
     return m, a
 
 
-# One checkpoint object as json.dumps(indent=2) lays it out inside the list;
-# json writes a finite float as its repr, and h/m and h/a are always finite.
-_JSON_ROW = (
-    '    {\n      "experiments": %d,\n      "awakenings": %d,\n'
-    '      "halfer": %r,\n      "thirder": %r\n    }'
-)
 _JSON_TAIL = "\n  ]\n}"
 
 
@@ -366,12 +361,43 @@ def _json_head(record: SimulationRecord) -> str:
     return head.removesuffix("[]\n}") + "[\n"
 
 
-def _json_rows(m: np.ndarray, a: np.ndarray) -> str:
-    pairs = zip(m.tolist(), a.tolist())
-    return ",\n".join([_JSON_ROW % (m, a, h / m, h / a) for m, a in pairs for h in (2 * m - a,)])
-
-
 _CHECKPOINT_FIELDS = ("experiments", "awakenings", "halfer", "thirder")
+
+
+_ROWS_KEY = '"checkpoints": ['
+_AWAKENINGS = re.compile(r'"awakenings": ([0-9]+)')
+_EXPERIMENTS = re.compile(r'"experiments": ([0-9]+)')
+
+
+def _reread(text: str) -> SimulationRecord | None:
+    """The record whose :func:`record_to_json` is ``text``, or None.
+
+    The candidate comes from the config in the header and the counts in the
+    rows; its text is rendered a chunk at a time and compared with ``text``
+    in place. repr is a function of the float, so equal text means equal
+    statistics, and any other text gets None.
+    """
+    try:
+        end = text.index(_ROWS_KEY) + len(_ROWS_KEY)
+        config = json.loads(text[:end] + "]}")["config"]
+        if config is None:
+            exps = map(int, _EXPERIMENTS.findall(text, end))
+        else:
+            config = SimulationConfig(**config)
+            # Lazy: zip stops at the rows there are, whatever n and stride.
+            n, stride = config.n_experiments, config.checkpoint_stride
+            exps = chain(range(stride, n, stride), [n])
+        wakes = list(map(int, _AWAKENINGS.findall(text, end)))
+        record = SimulationRecord(config, _make_checkpoints(exps, wakes))
+        columns = _checkpoint_columns(record)
+    except (KeyError, TypeError, ValueError, RecursionError):
+        return None
+    at = 0
+    for chunk in _text("json", _json_head(record), [columns]):
+        if not text.startswith(chunk, at):
+            return None
+        at += len(chunk)
+    return record if at == len(text) else None
 
 
 def record_from_json(text: str) -> SimulationRecord:
@@ -381,7 +407,14 @@ def record_from_json(text: str) -> SimulationRecord:
     missing, extra or mistyped fields, checkpoints whose statistics do not
     follow from their counts or whose marks do not match the config, and
     header fields other than those the config and checkpoints imply.
+    Text that :func:`record_to_json` wrote comes back by rendering it again;
+    any other input goes through ``json.loads``.
     """
+    return isinstance(text, str) and _reread(text) or _loads(text)
+
+
+def _loads(text: str) -> SimulationRecord:
+    """:func:`record_from_json` by way of ``json.loads``, for any layout."""
     try:
         doc = json.loads(text)
     except RecursionError:
@@ -475,32 +508,116 @@ def _millionths(m: np.ndarray, a: np.ndarray) -> np.ndarray:
     return k
 
 
-def _csv_rows(m: np.ndarray, a: np.ndarray) -> str:
-    """CSV rows of the checkpoints in int64 columns m and a, which
-    :func:`_checkpoint_columns` accepts, built as one byte matrix with a row
-    per checkpoint."""
-    n = len(m)
-    # Each k <= 10**6 as eight digits, "0d" and six decimals; moving the d
-    # left and a "." into its place gives "d.dddddd".
-    freq = _digits(_millionths(m, a).ravel(), 2, _GROUP).reshape(3, n, 8)
-    freq[:, :, 0] = freq[:, :, 1]
-    freq[:, :, 1] = ord(".")
-    # Each column keeps only its largest number's digits, so the NUL replace
+def _split(x):
+    """Veltkamp's split of float64 x into hi + lo of 26 significant bits
+    each, so that products of the halves are exact."""
+    c = x * 134217729.0  # 2**27 + 1
+    hi = c - (c - x)
+    return hi, x - hi
+
+
+# x in [10**-j, 10**(1-j)) for j = 5 - i, where i counts the entries <= x,
+# puts v = x·10**p in [10**16, 10**17) for p = 21 - i. Each 10**p is an
+# exact double, and x >= 10**-j exactly when x >= 1e-j, as each 1e-j rounds up.
+_DECADES = np.array([1e-4, 1e-3, 1e-2, 1e-1])
+_SCALE = np.array([float(10**p) for p in range(21, 16, -1)])
+_SCALE_HI, _SCALE_LO = _split(_SCALE)
+# By i and v's leading digit, NULs, "0.", j - 1 zeros and the digit as two
+# words; _TAIL is _GROUP with trailing zeros NUL, built in numpy, as 1e4
+# strings would add 0.25 MB to the CLI's peak RSS.
+_LEAD = np.frombuffer("".join("\0" * (i + 1) + "0." + "0" * (4 - i) + str(d) for i in range(5)
+                              for d in range(10)).encode(), "<u4").reshape(5, 10, 2)
+_TAIL = _GROUP.view(np.uint8).reshape(-1, 4)
+_TAIL = np.where(np.logical_and.accumulate(_TAIL[:, ::-1] == ord("0"), 1)[:, ::-1], 0, _TAIL).view("<u4")[:, 0]
+
+
+def _shortest(num: np.ndarray, den: np.ndarray) -> np.ndarray:
+    """repr(num / den) for int64 columns 0 <= num <= den, one uint8 row of 24
+    bytes each with NULs around it.
+
+    For 1e-4 <= x < 1, repr writes "0.", j - 1 zeros and the shortest digits
+    that read back as x, the nearest such if several do. Dekker's product
+    gives v = x·10**p exactly as hi + lo, so with c17 = round(v) and r = v - c17,
+    c16 = round(v / 10) and c15 = round(v / 100) follow from c17's last
+    digits and r's sign. A candidate w·10**-p reads back as x when |w - v| is
+    below h, half the gap from x to its neighbours in units of 10**-p (never
+    equal: h is an odd multiple of half v's last bit). h < 11.1, so at most
+    one multiple of 100 is that close, and shorter digits are c15's without
+    its trailing zeros; c16 and c17 are the nearest of their length. An x =
+    2**-k reads back as c15, whose digits are exact, so its narrower lower
+    gap does not matter. Every other x, a tie, and den > 2**53, where num /
+    den is not Python's int / int, take repr itself.
+    """
+    x = num / den
+    i = np.searchsorted(_DECADES, x, "right")
+    scale, s_hi, s_lo = _SCALE[i], _SCALE_HI[i], _SCALE_LO[i]
+    x_hi, x_lo = _split(x)
+    hi = x * scale
+    lo = x_lo * s_lo - (((hi - x_hi * s_hi) - x_lo * s_hi) - x_hi * s_lo)  # x·10**p - hi
+    r = lo - np.rint(lo)
+    c17 = hi.astype(np.int64) + (lo - r).astype(np.int64)
+    w, half = c17, np.ldexp(scale, np.frexp(x)[1] - 54)
+    for unit in (10, 100):
+        c, digits = np.divmod(c17, unit)
+        c = (c + ((digits > unit // 2) | ((digits == unit // 2) & (r > 0)))) * unit
+        w = np.where(np.abs((c - c17) - r) < half, c, w)
+    fallback = (i == 0) | (x == 1) | (np.abs(r) == 0.5) | ((c17 % 10 == 5) & (r == 0)) | (den > 2**53)
+    w[fallback] = 10**16
+    out = np.empty((len(x), 6), "<u4")
+    zeros = np.ones(len(x), bool)  # whether every lower group is 0000
+    for j in range(5, 1, -1):
+        w, rest = np.divmod(w, 10**4)
+        out[:, j] = np.where(zeros, _TAIL[rest], _GROUP[rest])
+        zeros &= rest == 0
+    out[:, :2] = _LEAD[i, w]
+    texts = map(repr, map(truediv, num[fallback].tolist(), den[fallback].tolist()))
+    out[fallback] = np.frombuffer("".join(t.rjust(24, "\0") for t in texts).encode(), "<u4").reshape(-1, 6)
+    return out.view(np.uint8)
+
+
+def _rows(texts: list[str], m: np.ndarray, a: np.ndarray, *columns: np.ndarray) -> str:
+    """Text of a row per checkpoint: texts[0], m, texts[1], a, texts[2],
+    columns[0], ..., texts[-1], from int64 columns m and a, which
+    :func:`_checkpoint_columns` accepts, and uint8 matrices with a row per
+    checkpoint, NULs dropped. The rows are built as one byte matrix."""
+    # Each count keeps only its largest number's digits, so the NUL replace
     # has nothing to remove where a chunk's numbers are all as wide; a >= m,
     # but a need not grow with m.
     wm, wa = len(str(m.max())), len(str(a.max()))
     counts = _digits(np.concatenate([m, a]), -(-wa // 4))
-    comma = np.full((n, 1), ord(","), np.uint8)
-    rows = np.hstack([
-        counts[:n, -wm:], comma, counts[n:, -wa:], comma, freq[0], comma, freq[1], comma,
-        freq[1], comma, freq[2], comma, freq[2], np.full((n, 1), ord("\n"), np.uint8),
-    ])
+    columns = [counts[:len(m), -wm:], counts[len(m):, -wa:], *columns]
+    shared = [np.broadcast_to(np.frombuffer(t.encode(), np.uint8), (len(m), len(t))) for t in texts]
+    rows = np.hstack([*chain.from_iterable(zip(shared, columns)), shared[-1]])
     return str(rows, "ascii").replace("\0", "")
 
 
+# One checkpoint object as json.dumps(indent=2) lays it out inside the list,
+# and the ",\n" after it; json writes a float as its repr.
+_JSON_CHECKPOINT = ('    {\n      "experiments": %,\n      "awakenings": %,\n'
+                    '      "halfer": %,\n      "thirder": %\n    },\n').split("%")
+
+
+def _json_rows(m: np.ndarray, a: np.ndarray) -> str:
+    h = 2 * m - a
+    stats = _shortest(np.concatenate([h, h]), np.concatenate([m, a]))
+    stats = stats[:, stats.any(axis=0).argmax():]  # less the leading bytes NUL on every row
+    return _rows(_JSON_CHECKPOINT, m, a, stats[:len(m)], stats[len(m):])[:-2]
+
+
+def _csv_rows(m: np.ndarray, a: np.ndarray) -> str:
+    # Each k <= 10**6 as eight digits, "0d" and six decimals; moving the d
+    # left and a "." into its place gives "d.dddddd".
+    freq = _digits(_millionths(m, a).ravel(), 2, _GROUP).reshape(3, len(m), 8)
+    freq[:, :, 0] = freq[:, :, 1]
+    freq[:, :, 1] = ord(".")
+    return _rows(["", *",,,,,,", "\n"], m, a, freq[0], freq[1], freq[1], freq[2], freq[2])
+
+
 # Rows rendered at a time, so that one block's rows at stride 1 are never all
-# text at once.
+# text at once. Where blocks hold fewer marks, successive blocks are joined
+# until they hold _MERGE_ROWS, as numpy's cost per render is that of ~200 rows.
 _CHUNK_ROWS = 4096
+_MERGE_ROWS = 256
 # Per format: the renderer of int64 columns (m, a) into rows, the text
 # between two chunks of rows, and the text after the last.
 _FORMATS = {"json": (_json_rows, ",\n", _JSON_TAIL), "csv": (_csv_rows, "", "")}
@@ -529,6 +646,22 @@ def record_to_csv(record: SimulationRecord) -> str:
     return "".join(_text("csv", _CSV_HEADER, [_checkpoint_columns(record)]))
 
 
+def _merged(
+    columns: Iterable[tuple[np.ndarray, np.ndarray]]
+) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """The pairs of columns (m, a), consecutive ones joined until they hold
+    ``_MERGE_ROWS`` rows or more."""
+    held, rows = [], 0
+    for m, a in columns:
+        held.append((m, a))
+        rows += len(m)
+        if rows >= _MERGE_ROWS:
+            yield tuple(map(np.concatenate, zip(*held)))
+            held, rows = [], 0
+    if held:
+        yield tuple(map(np.concatenate, zip(*held)))
+
+
 def _record_chunks(config: SimulationConfig, fmt: str) -> Iterator[str]:
     """``record_to_json`` or ``record_to_csv`` (``fmt`` "json" or "csv") of
     ``run_simulation(config)``, rendered as the fold yields each block's
@@ -536,4 +669,4 @@ def _record_chunks(config: SimulationConfig, fmt: str) -> Iterator[str]:
     # The JSON header needs the totals before any row.
     head = _json_head(_totals(config)) if fmt == "json" else _CSV_HEADER
     folded = _fold(_seeded_blocks(config), config.checkpoint_stride)
-    yield from _text(fmt, head, ((m, 2 * m - h) for _, m, h in folded))
+    yield from _text(fmt, head, _merged((m, 2 * m - h) for _, m, h in folded))

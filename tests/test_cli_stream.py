@@ -36,6 +36,7 @@ CASES = [
     (3, N, 2 * N),
     (4, N, BLOCK_SIZE),
     (5, N, BLOCK_SIZE + 1),
+    (6, N, 300),  # about 218 marks a block: blocks are joined in pairs
 ]
 
 
@@ -126,6 +127,14 @@ BENCH_CLI = runpy.run_path(str(ROOT / "bench" / "spec.py"))["CLI"]
 def test_benchmark_cli_digest(workload):
     argv, digest = BENCH_CLI[workload]
     assert hashlib.sha256(cli_stdout(*argv).encode()).hexdigest() == digest
+
+
+def test_streamed_json_digest_at_1e5_rows():
+    # 1e5 checkpoints in 25 chunks of rows: the benchmark pins 100 JSON rows
+    # and the CSV. Recorded from the text that one "%r" template per row wrote.
+    out = cli_stdout("simulate", "--n", "1000000", "--stride", "10", "--format", "json")
+    digest = "cdcf95c7459358eb309c76a680f653c0973f1a5d6335915eca27f2029879dacb"
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 # The benchmark pins only the JSON table; these pin the other two formats.

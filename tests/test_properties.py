@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sbchain import cli, markov_core
+from sbchain import cli, markov_core, simulation
 from sbchain.markov_core import (
     DistributionVector,
     TransitionMatrix,
@@ -466,6 +466,24 @@ def leaf_paths(node, path=()):
         yield path
 
 
+def changed_leaf(data, record):
+    """The JSON document of ``record`` with one leaf drawn and changed."""
+    doc = json.loads(record_to_json(record))
+    *parents, last = data.draw(st.sampled_from(list(leaf_paths(doc))))
+    target = doc
+    for key in parents:
+        target = target[key]
+    value = target[last]
+    up = data.draw(st.booleans())
+    if isinstance(value, int):
+        target[last] = value + (1 if up else -1)
+    elif isinstance(value, float):
+        target[last] = math.nextafter(value, math.inf if up else -math.inf)
+    else:
+        target[last] = None if isinstance(value, str) else GENERATOR_NAME
+    return doc
+
+
 class TestRecordBoundary:
     @given(record_coins, record_strides)
     def test_json_round_trips_both_ways(self, coins, stride):
@@ -478,21 +496,37 @@ class TestRecordBoundary:
     def test_any_changed_leaf_is_rejected(self, data, coins, stride):
         # Every leaf of a forced record follows from its coins, so no single
         # changed value describes a record the writer could have produced.
-        doc = json.loads(record_to_json(forced_run(coins, checkpoint_stride=stride)))
-        *parents, last = data.draw(st.sampled_from(list(leaf_paths(doc))))
-        target = doc
-        for key in parents:
-            target = target[key]
-        value = target[last]
-        up = data.draw(st.booleans())
-        if isinstance(value, int):
-            target[last] = value + (1 if up else -1)
-        elif isinstance(value, float):
-            target[last] = math.nextafter(value, math.inf if up else -math.inf)
-        else:
-            target[last] = None if isinstance(value, str) else GENERATOR_NAME
+        doc = changed_leaf(data, forced_run(coins, checkpoint_stride=stride))
         with pytest.raises(ValueError):
             record_from_json(json.dumps(doc))
+
+    @given(st.data(), record_coins, record_strides)
+    def test_any_changed_leaf_is_rejected_in_the_written_layout(self, data, coins, stride):
+        # indent=2 lays the changed document out as the writer does, so the
+        # reader first renders its candidate, which must then decline.
+        doc = changed_leaf(data, forced_run(coins, checkpoint_stride=stride))
+        with pytest.raises(ValueError) as compact:
+            record_from_json(json.dumps(doc))
+        with pytest.raises(ValueError) as written:
+            record_from_json(json.dumps(doc, indent=2))
+        assert str(written.value) == str(compact.value)
+
+    @given(st.data(), record_coins, record_strides, st.integers(0, 2**64 - 1), st.booleans())
+    @settings(deadline=None)
+    def test_edited_text_reads_as_json_reads_it(self, data, coins, stride, seed, seeded):
+        # Only the writer's own bytes may skip json.loads: any other text
+        # gives the record, or the error, that the json path gives.
+        if seeded:
+            record = run_simulation(SimulationConfig(seed, len(coins), stride))
+        else:
+            record = forced_run(coins, checkpoint_stride=stride)
+        text = record_to_json(record)
+        for _ in range(data.draw(st.integers(1, 3), label="edits")):
+            i = data.draw(st.integers(0, len(text)), label="at")
+            cut = data.draw(st.integers(0, 2), label="cut")
+            put = data.draw(st.sampled_from(["", *'0123456789 \n,.-e"}]']), label="put")
+            text = text[:i] + put + text[i + cut:]
+        assert checked(record_from_json, text) == checked(simulation._loads, text)
 
 
 def assert_writers_match_oracle(record):
@@ -513,18 +547,48 @@ seeded_lengths = st.integers(1, 3 * BLOCK_SIZE + 5) | st.builds(
 
 @st.composite
 def checkpoint_counts(draw):
-    """(m, a) with 1 <= m <= 2**53 and m <= a <= 2m, weighted to awakenings
-    past 2**53 and to a frequency on or next to a ".6f" rounding tie: p/128,
-    whose x·1e6 is a half-integer for odd p, or p/(2·10**6), whose double
-    lies within 1e-10 of one."""
-    kind = draw(st.sampled_from(["any", "past 2**53", "halfer", "thirder", "tails"]))
+    """(m, a) with 1 <= m <= 2**53 and m <= a <= 2m, weighted to the edges of
+    the writers:
+    - awakenings past 2**53;
+    - a frequency on or next to a ".6f" rounding tie: p/128, whose x·1e6 is
+      a half-integer for odd p, or p/(2·10**6), whose double lies within
+      1e-10 of one;
+    - a statistic p/q with short digits, q a power of 2 or of 10;
+    - a statistic next to a 16-digit decimal, where repr needs 16 digits or
+      17;
+    - a halfer below 1e-4, which repr writes with an exponent;
+    - h = 0 or h = m, whose statistics are 0.0 or 1.0."""
+    kind = draw(st.sampled_from([
+        "any", "past 2**53", "halfer", "thirder", "tails",
+        "short", "16 digits", "below 1e-4", "0 or 1",
+    ]))
     if kind == "any":
         m = draw(st.integers(1, 2**53))
         return m, draw(st.integers(m, 2 * m))
     if kind == "past 2**53":
         m = draw(st.integers(2**52 + 1, 2**53))
         return m, draw(st.integers(2**53 + 1, 2 * m))
-    q = draw(st.sampled_from([128, 2 * 10**6]))
+    if kind == "0 or 1":
+        m = draw(st.integers(1, 2**53))
+        return m, draw(st.sampled_from([m, 2 * m]))
+    if kind == "below 1e-4":
+        m = draw(st.integers(10**4, 2**53))
+        return m, 2 * m - draw(st.integers(1, m // 10**4))
+    if kind == "16 digits":
+        # h/den within 2/den of c·10**-(15 + j), a 16-digit decimal in [10**-j, 10**(1-j)).
+        j = draw(st.integers(1, 4))
+        den = draw(st.integers(2**48, 2**53))
+        num = draw(st.integers(10**15, 10**16 - 1)) * den // 10 ** (15 + j)
+        h = min(max(num + draw(st.integers(-2, 2)), 0), den)
+        if draw(st.booleans()):  # h/m
+            return den, 2 * den - h
+        h ^= (den + h) % 2  # h/a, with h's parity flipped if a + h is odd
+        return (den + h) // 2, den
+    if kind == "short":
+        q = draw(st.sampled_from([*(2**k for k in range(1, 53)), *(10**k for k in range(1, 16))]))
+        kind = draw(st.sampled_from(["halfer", "thirder"]))
+    else:
+        q = draw(st.sampled_from([128, 2 * 10**6]))
     p = draw(st.integers(0, q))
     s = draw(st.integers(1, 2**52 // q))
     if kind == "halfer":  # h/m = p/q
@@ -535,8 +599,10 @@ def checkpoint_counts(draw):
 
 
 class TestRecordWriterOracle:
+    # Nine kinds of counts, three of them ".6f" ties: 180 examples draw as
+    # many ties as the 100 did when those were three of five.
     @given(st.lists(checkpoint_counts(), min_size=1, max_size=30, unique_by=lambda c: c[0]))
-    @settings(deadline=None)
+    @settings(max_examples=180, deadline=None)
     def test_counts_near_rounding_ties(self, counts):
         checkpoints = tuple(Checkpoint(m, a) for m, a in sorted(counts))
         # Read back through the parser: each row is one a record can hold.

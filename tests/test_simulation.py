@@ -288,6 +288,26 @@ class TestSerialization:
             ]:
                 assert record_to_csv(record) == record_oracle.record_to_csv(record)
 
+    @pytest.mark.parametrize("rows", [4095, 4096, 4097])
+    def test_json_across_a_chunk_edge(self, rows):
+        record = run_simulation(SimulationConfig(seed=3, n_experiments=rows, checkpoint_stride=1))
+        assert record_to_json(record) == record_oracle.record_to_json(record)
+
+    def test_json_statistics_are_repr_of_a_million_quotients(self):
+        # Denominators of every bit length up to 2**54, the most awakenings a
+        # record can hold; past 2**53 num / den is not Python's int / int.
+        rng = np.random.default_rng(2024)
+        den = rng.integers(1, 2 ** rng.integers(1, 55, 10**6), endpoint=True)
+        num = rng.integers(0, den, endpoint=True)
+        newline = np.full((2**16, 1), ord("\n"), np.uint8)
+        rendered = []
+        for i in range(0, len(den), 2**16):
+            fields = simulation._shortest(num[i:i + 2**16], den[i:i + 2**16])
+            rows = np.hstack([fields, newline[:len(fields)]])
+            rendered += str(rows, "ascii").replace("\0", "").splitlines()
+        pairs = zip(num.tolist(), den.tolist(), rendered)
+        assert [(a, b, text) for a, b, text in pairs if text != repr(a / b)] == []
+
     @pytest.mark.parametrize("write", [record_to_json, record_to_csv])
     @pytest.mark.parametrize(
         "config, checkpoints, message",
@@ -544,6 +564,60 @@ class TestRecordFromJson:
             self.load(doc)
 
 
+class TestRecordFromJsonText:
+    """The reader's first step renders the record that the text describes and
+    compares bytes; any other text must read as ``json.loads`` reads it."""
+
+    RECORD = run_simulation(TestSerialization.CFG)
+    TEXT = record_to_json(RECORD)
+
+    def test_written_text_skips_json_loads(self, monkeypatch):
+        monkeypatch.setattr(simulation, "_loads", None)
+        assert record_from_json(self.TEXT) == self.RECORD
+        forced = forced_run("HTTHT", checkpoint_stride=2)
+        assert record_from_json(record_to_json(forced)) == forced
+
+    @staticmethod
+    def refusal(text):
+        """The message both paths give for ``text``, which neither may read."""
+        messages = []
+        for read in (record_from_json, simulation._loads):
+            with pytest.raises(ValueError) as info:
+                read(text)
+            messages.append(str(info.value))
+        assert messages[0] == messages[1]
+        return messages[0]
+
+    def test_changed_halfer_digit(self):
+        at = self.TEXT.index('"halfer": 0.') + len('"halfer": 0.')
+        digit = str((int(self.TEXT[at]) + 1) % 10)
+        assert "h/m" in self.refusal(self.TEXT[:at] + digit + self.TEXT[at + 1:])
+
+    def test_changed_awakenings(self):
+        first = self.RECORD.checkpoints[0].awakenings
+        assert "h/m" in self.refusal(
+            self.TEXT.replace(f'"awakenings": {first},', f'"awakenings": {first + 1},', 1)
+        )
+
+    def test_dropped_row(self):
+        rows = self.TEXT.split("\n    },\n")
+        assert "config" in self.refusal("\n    },\n".join(rows[:1] + rows[2:]))
+
+    @pytest.mark.parametrize("extra", ["\n", " ", "\n\n  "])
+    def test_trailing_whitespace_still_loads(self, extra):
+        # json.loads takes white space after the document.
+        assert record_from_json(self.TEXT + extra) == self.RECORD
+
+    @pytest.mark.parametrize("indent", [None, 0, 4])
+    def test_other_layouts_still_load(self, indent):
+        assert record_from_json(json.dumps(json.loads(self.TEXT), indent=indent)) == self.RECORD
+
+    def test_bytes_still_load(self):
+        assert record_from_json(self.TEXT.encode()) == self.RECORD
+        with pytest.raises(ValueError, match="h/m"):
+            record_from_json(self.TEXT.replace('"halfer": 0.', '"halfer": 0.9', 1).encode())
+
+
 # --- block-boundary oracle --------------------------------------------------
 # The whole-stream algorithm the block fold replaced: concatenate every block,
 # take one cumsum over the run and index it at each mark.
@@ -660,3 +734,17 @@ class TestMemory:
         finally:
             tracemalloc.stop()
         assert peak < 4 * len(text)
+
+    def test_json_reader_peak_is_below_twice_its_text(self):
+        # 1e5 checkpoints. json.loads with a dict per checkpoint peaked at
+        # 3.1x the text; rendering the text again to compare it needs 1.3x.
+        record = run_simulation(SimulationConfig(seed=3, n_experiments=10**6, checkpoint_stride=10))
+        text = record_to_json(record)
+        tracemalloc.start()
+        try:
+            read = record_from_json(text)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert read == record
+        assert peak < 2 * len(text)
