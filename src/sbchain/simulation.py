@@ -191,24 +191,41 @@ def _fold(
         yield np.array([c0]), np.array([m0]), np.array([h0])
 
 
-def _make_checkpoints(experiments: list[int], awakenings: list[int]) -> tuple[Checkpoint, ...]:
+class _Checkpoints(tuple):
+    """Checkpoints that keep, read-only, the int64 columns (m, a) they were
+    made from, so that the writers need not walk their ints. Copies, pickles
+    and slices keep no columns, so their ints are walked and checked."""
+
+    def __reduce__(self):
+        return tuple, (tuple(self),)
+
+
+def _tuple_of(cls: type, pairs: Iterable[tuple[int, int]]) -> tuple[Checkpoint, ...]:
     # tuple.__new__ skips the Python-level NamedTuple constructor, which
     # dominates at 1e5+ checkpoints. Tuples of ints cannot form a cycle, so
     # the cyclic collector is paused rather than run over them every 700.
     enabled = gc.isenabled()
     gc.disable()
     try:
-        return tuple(map(tuple.__new__, repeat(Checkpoint), zip(experiments, awakenings)))
+        return cls(map(tuple.__new__, repeat(Checkpoint), pairs))
     finally:
         if enabled:
             gc.enable()
+
+
+def _make_checkpoints(m: np.ndarray, a: np.ndarray) -> _Checkpoints:
+    """A checkpoint (m, a) per row of the int64 columns m and a, which it keeps."""
+    checkpoints = _tuple_of(_Checkpoints, zip(m.tolist(), a.tolist()))
+    m.flags.writeable = a.flags.writeable = False
+    checkpoints._columns = m, a
+    return checkpoints
 
 
 def _record(
     blocks: Iterable[np.ndarray], stride: int, config: SimulationConfig | None = None
 ) -> SimulationRecord:
     _, m, h = map(np.concatenate, zip(*_fold(blocks, stride)))
-    return SimulationRecord(config, _make_checkpoints(m.tolist(), (2 * m - h).tolist()))
+    return SimulationRecord(config, _make_checkpoints(m, 2 * m - h))
 
 
 def run_simulation(config: SimulationConfig) -> SimulationRecord:
@@ -326,18 +343,24 @@ _DOMAIN = "checkpoint experiments must strictly increase within [1, 2**53], awak
 def _checkpoint_columns(record: SimulationRecord) -> tuple[np.ndarray, np.ndarray]:
     """int64 columns m and a of the record's checkpoints (m, a); ValueError
     unless there is one or more, every count is an int, m strictly increases
-    within [1, 2**53], each a lies in [m, 2m], and the marks are the config's."""
-    n = len(record.checkpoints)
+    within [1, 2**53], each a lies in [m, 2m], and the marks are the config's.
+    Only checkpoints that :func:`_make_checkpoints` did not build are walked
+    int by int; the checks on the columns run every time."""
+    checkpoints = record.checkpoints
+    n = len(checkpoints)
     if n < 1:
         raise ValueError("a record needs at least one checkpoint")
-    # np.fromiter would cast a float, a bool or a numpy int without a word.
-    if not set(map(type, chain.from_iterable(record.checkpoints))) <= {int}:
-        raise ValueError("checkpoint experiments and awakenings must be ints")
-    try:
-        columns = np.fromiter(chain.from_iterable(record.checkpoints), np.int64, 2 * n)
-    except OverflowError:  # a count past int64
-        raise ValueError(_DOMAIN) from None
-    m, a = columns[0::2], columns[1::2]
+    columns = getattr(checkpoints, "_columns", None)
+    if columns is None:
+        # np.fromiter would cast a float, a bool or a numpy int without a word.
+        if not set(map(type, chain.from_iterable(checkpoints))) <= {int}:
+            raise ValueError("checkpoint experiments and awakenings must be ints")
+        try:
+            flat = np.fromiter(chain.from_iterable(checkpoints), np.int64, 2 * n)
+        except OverflowError:  # a count past int64
+            raise ValueError(_DOMAIN) from None
+        columns = flat[0::2], flat[1::2]
+    m, a = columns
     # Each test runs only once the ones before it hold, so 2 * m fits.
     if m[0] < 1 or m[-1] > 2**53 or (m[1:] <= m[:-1]).any() or ((a < m) | (a > 2 * m)).any():
         raise ValueError(_DOMAIN)
@@ -369,6 +392,18 @@ _AWAKENINGS = re.compile(r'"awakenings": ([0-9]+)')
 _EXPERIMENTS = re.compile(r'"experiments": ([0-9]+)')
 
 
+def _ints(digits: list[str]) -> np.ndarray:
+    """int64 of each string of ASCII digits, read a column at a time;
+    ValueError for one of more than 18, which int64 might not hold."""
+    table = np.array(digits, "S")
+    if table.itemsize > 18:
+        raise ValueError("a count past int64")
+    x = np.zeros(len(digits), np.int64)
+    for column in table.view(np.uint8).reshape(-1, table.itemsize).T:  # NUL after a shorter string
+        x = np.where(column > 0, 10 * x + column - ord("0"), x)
+    return x
+
+
 def _reread(text: str) -> SimulationRecord | None:
     """The record whose :func:`record_to_json` is ``text``, or None.
 
@@ -380,14 +415,20 @@ def _reread(text: str) -> SimulationRecord | None:
     try:
         end = text.index(_ROWS_KEY) + len(_ROWS_KEY)
         config = json.loads(text[:end] + "]}")["config"]
+        wakes = _AWAKENINGS.findall(text, end)
         if config is None:
-            exps = map(int, _EXPERIMENTS.findall(text, end))
+            exps = _ints(_EXPERIMENTS.findall(text, end))
         else:
             config = SimulationConfig(**config)
-            # Lazy: zip stops at the rows there are, whatever n and stride.
             n, stride = config.n_experiments, config.checkpoint_stride
-            exps = chain(range(stride, n, stride), [n])
-        wakes = list(map(int, _AWAKENINGS.findall(text, end)))
+            # Before any array: the writer writes a row per mark, and no mark past 2**53.
+            if n > 2**53 or len(wakes) != -(-n // stride):
+                return None
+            exps = np.arange(1, len(wakes) + 1, dtype=np.int64) * min(stride, n)
+            exps[-1] = n
+        wakes = _ints(wakes)
+        if len(exps) != len(wakes):
+            return None
         record = SimulationRecord(config, _make_checkpoints(exps, wakes))
         columns = _checkpoint_columns(record)
     except (KeyError, TypeError, ValueError, RecursionError):
@@ -439,7 +480,7 @@ def _loads(text: str) -> SimulationRecord:
         raise ValueError(f"each checkpoint must have exactly the keys {_CHECKPOINT_FIELDS}")
     if not set(map(type, halfer)) | set(map(type, thirder)) <= {float}:
         raise ValueError("checkpoint halfer and thirder must be floats")
-    record = SimulationRecord(config, _make_checkpoints(exps, wakes))
+    record = SimulationRecord(config, _tuple_of(tuple, zip(exps, wakes)))
     _checkpoint_columns(record)
     # On ints: a float64 cannot hold every count of awakenings past 2**53.
     heads = list(map(sub, map(add, exps, exps), wakes))
@@ -522,11 +563,12 @@ def _split(x):
 _DECADES = np.array([1e-4, 1e-3, 1e-2, 1e-1])
 _SCALE = np.array([float(10**p) for p in range(21, 16, -1)])
 _SCALE_HI, _SCALE_LO = _split(_SCALE)
-# By i and v's leading digit, NULs, "0.", j - 1 zeros and the digit as two
-# words; _TAIL is _GROUP with trailing zeros NUL, built in numpy, as 1e4
-# strings would add 0.25 MB to the CLI's peak RSS.
+# By 10·i + v's leading digit, NULs, "0.", j - 1 zeros and the digit as one
+# 8-byte word, so that one flat gather fills them; _TAIL is _GROUP with
+# trailing zeros NUL, built in numpy, as 1e4 strings would add 0.25 MB to the
+# CLI's peak RSS.
 _LEAD = np.frombuffer("".join("\0" * (i + 1) + "0." + "0" * (4 - i) + str(d) for i in range(5)
-                              for d in range(10)).encode(), "<u4").reshape(5, 10, 2)
+                              for d in range(10)).encode(), "<u8")
 _TAIL = _GROUP.view(np.uint8).reshape(-1, 4)
 _TAIL = np.where(np.logical_and.accumulate(_TAIL[:, ::-1] == ord("0"), 1)[:, ::-1], 0, _TAIL).view("<u4")[:, 0]
 
@@ -569,7 +611,7 @@ def _shortest(num: np.ndarray, den: np.ndarray) -> np.ndarray:
         w, rest = np.divmod(w, 10**4)
         out[:, j] = np.where(zeros, _TAIL[rest], _GROUP[rest])
         zeros &= rest == 0
-    out[:, :2] = _LEAD[i, w]
+    out.view("<u8")[:, 0] = _LEAD[10 * i + w]
     texts = map(repr, map(truediv, num[fallback].tolist(), den[fallback].tolist()))
     out[fallback] = np.frombuffer("".join(t.rjust(24, "\0") for t in texts).encode(), "<u4").reshape(-1, 6)
     return out.view(np.uint8)
@@ -588,7 +630,7 @@ def _rows(texts: list[str], m: np.ndarray, a: np.ndarray, *columns: np.ndarray) 
     columns = [counts[:len(m), -wm:], counts[len(m):, -wa:], *columns]
     shared = [np.broadcast_to(np.frombuffer(t.encode(), np.uint8), (len(m), len(t))) for t in texts]
     rows = np.hstack([*chain.from_iterable(zip(shared, columns)), shared[-1]])
-    return str(rows, "ascii").replace("\0", "")
+    return rows.tobytes().replace(b"\0", b"").decode("ascii")
 
 
 # One checkpoint object as json.dumps(indent=2) lays it out inside the list,
@@ -600,7 +642,10 @@ _JSON_CHECKPOINT = ('    {\n      "experiments": %,\n      "awakenings": %,\n'
 def _json_rows(m: np.ndarray, a: np.ndarray) -> str:
     h = 2 * m - a
     stats = _shortest(np.concatenate([h, h]), np.concatenate([m, a]))
-    stats = stats[:, stats.any(axis=0).argmax():]  # less the leading bytes NUL on every row
+    # Less the leading bytes NUL on every row, found by an OR down each 8-byte
+    # column on its own: numpy reduces a narrow axis 0 ten times slower.
+    seen = np.array([np.bitwise_or.reduce(column) for column in stats.view("<u8").T])
+    stats = stats[:, np.flatnonzero(seen.view(np.uint8))[0]:]
     return _rows(_JSON_CHECKPOINT, m, a, stats[:len(m)], stats[len(m):])[:-2]
 
 

@@ -528,6 +528,20 @@ class TestRecordBoundary:
             text = text[:i] + put + text[i + cut:]
         assert checked(record_from_json, text) == checked(simulation._loads, text)
 
+    @given(record_coins, record_strides, st.integers(0, 2**64 - 1), st.booleans())
+    @settings(deadline=None)
+    def test_kept_columns_write_what_their_checkpoints_write(self, coins, stride, seed, seeded):
+        # Engine and reader records keep their int64 columns; a plain tuple
+        # of the same checkpoints is walked int by int.
+        if seeded:
+            record = run_simulation(SimulationConfig(seed, len(coins), stride))
+        else:
+            record = forced_run(coins, checkpoint_stride=stride)
+        for kept in (record, record_from_json(record_to_json(record))):
+            plain = SimulationRecord(kept.config, tuple(kept.checkpoints))
+            for write in (record_to_json, record_to_csv):
+                assert write(kept) == write(plain)
+
 
 def assert_writers_match_oracle(record):
     # Compared as lists of lines: pytest then reports the first differing

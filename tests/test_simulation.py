@@ -1,10 +1,12 @@
 """Unit tests for the Monte Carlo engine: counting, determinism, serialization."""
 
 import bisect
+import copy
 import dataclasses
 import itertools
 import json
 import math
+import pickle
 import tracemalloc
 from fractions import Fraction
 
@@ -616,6 +618,134 @@ class TestRecordFromJsonText:
         assert record_from_json(self.TEXT.encode()) == self.RECORD
         with pytest.raises(ValueError, match="h/m"):
             record_from_json(self.TEXT.replace('"halfer": 0.', '"halfer": 0.9', 1).encode())
+
+    @staticmethod
+    def as_loads(text):
+        """The record or message ``record_from_json`` gives for ``text``,
+        which must be what ``_loads`` gives; any other error fails."""
+        outcomes = []
+        for read in (record_from_json, simulation._loads):
+            try:
+                outcomes.append(read(text))
+            except ValueError as exc:
+                outcomes.append(str(exc))
+        assert outcomes[0] == outcomes[1]
+        return outcomes[0]
+
+    @pytest.mark.parametrize("value", [2**53 + 1, 2**63, 2**64 + 1000], ids=["2**53", "2**63", "2**64"])
+    @pytest.mark.parametrize("field", ["n_experiments", "checkpoint_stride"])
+    def test_config_past_2_to_53_or_int64(self, field, value):
+        old = f'"{field}": {getattr(self.RECORD.config, field)}'
+        assert "config" in self.as_loads(self.TEXT.replace(old, f'"{field}": {value}', 1))
+
+    @pytest.mark.parametrize("stride", [2**53 + 1, 2**63 + 5, 2**64 + 7])
+    def test_one_row_under_a_huge_stride(self, stride):
+        record = run_simulation(SimulationConfig(seed=9, n_experiments=1000, checkpoint_stride=1000))
+        text = record_to_json(record).replace('"checkpoint_stride": 1000', f'"checkpoint_stride": {stride}')
+        config = SimulationConfig(seed=9, n_experiments=1000, checkpoint_stride=stride)
+        assert self.as_loads(text) == SimulationRecord(config, record.checkpoints)
+        # One mark, past int64, under as large a stride.
+        text = text.replace('"n_experiments": 1000', f'"n_experiments": {stride}')
+        assert "config" in self.as_loads(text)
+
+    def test_a_forced_row_without_experiments(self):
+        text = record_to_json(forced_run("HTTHT", checkpoint_stride=2))
+        assert "malformed" in self.as_loads(text.replace('"experiments": 4', '"experiment": 4'))
+
+    @pytest.mark.parametrize("n", [750, 1250, 1001])
+    def test_rows_other_than_the_config_marks(self, n):
+        # 4 rows against 3, 5 and 5 marks.
+        text = self.TEXT.replace('"n_experiments": 1000,', f'"n_experiments": {n},', 1)
+        assert "config" in self.as_loads(text)
+
+    def test_repeated_row(self):
+        rows = self.TEXT.split("\n    },\n")
+        assert "strictly increase" in self.as_loads("\n    },\n".join(rows[:2] + rows[1:]))
+
+    @pytest.mark.parametrize("digits", ["0{}", "00{}", "1" + "0" * 17, "1" + "0" * 18, "1" + "0" * 19,
+                                        str(2**64) + "{}", "9" * 25])
+    @pytest.mark.parametrize("key", ["awakenings", "experiments"])
+    @pytest.mark.parametrize("seeded", [True, False], ids=["seeded", "forced"])
+    def test_long_or_zero_led_counts(self, seeded, key, digits):
+        # 2**64 followed by the count's digits would wrap to them in int64.
+        record = self.RECORD if seeded else forced_run("HTTHT", checkpoint_stride=2)
+        count = getattr(record.checkpoints[0], key)
+        text = record_to_json(record).replace(f'"{key}": {count},', f'"{key}": {digits.format(count)},', 1)
+        assert isinstance(self.as_loads(text), str)
+
+    def test_counts_are_read_without_wrapping(self):
+        assert simulation._ints(["0", "007", "9" * 18, "42"]).tolist() == [0, 7, 10**18 - 1, 42]
+        with pytest.raises(ValueError):
+            simulation._ints([str(2**64 + 42)])
+
+
+class TestKeptColumns:
+    """Records from the engine and the reader keep the int64 columns they
+    were counted in; every check on the columns still runs, and any other
+    checkpoint tuple is walked int by int."""
+
+    SEEDED = run_simulation(TestSerialization.CFG)
+    FORCED = forced_run("HTTHT", checkpoint_stride=1)
+
+    def records(self):
+        written = [record_to_json(r) for r in (self.SEEDED, self.FORCED)]
+        return [self.SEEDED, self.FORCED, *map(record_from_json, written)]
+
+    @pytest.mark.parametrize("write", [record_to_json, record_to_csv])
+    def test_another_config_is_refused(self, write):
+        record = dataclasses.replace(self.SEEDED, config=SimulationConfig(9, 1000, 125))
+        with pytest.raises(ValueError, match="checkpoint marks do not match the config"):
+            write(record)
+
+    @pytest.mark.parametrize("write", [record_to_json, record_to_csv])
+    @pytest.mark.parametrize("count", [1.0, True, np.int64(1)], ids=["float", "bool", "numpy-int64"])
+    @pytest.mark.parametrize("at", [0, 1])
+    def test_a_tuple_built_by_hand_is_walked(self, write, count, at):
+        # Equal to the forced record's checkpoints, whose first is (1, 1).
+        first = list(self.FORCED.checkpoints[0])
+        first[at] = count
+        checkpoints = (Checkpoint(*first), *self.FORCED.checkpoints[1:])
+        assert checkpoints == self.FORCED.checkpoints
+        with pytest.raises(ValueError, match="must be ints"):
+            write(SimulationRecord(None, checkpoints))
+
+    def test_copies_are_equal_and_write_the_same_bytes(self):
+        for record in self.records():
+            fields = dataclasses.asdict(record)
+            config = fields["config"] and SimulationConfig(**fields["config"])
+            copies = [
+                copy.deepcopy(record),
+                pickle.loads(pickle.dumps(record)),
+                SimulationRecord(config, fields["checkpoints"]),
+            ]
+            for other in copies:
+                assert other == record
+                assert record_to_json(other) == record_to_json(record)
+                assert record_to_csv(other) == record_to_csv(record)
+
+    def test_kept_columns_are_read_only(self):
+        for record in self.records():
+            for column in simulation._checkpoint_columns(record):
+                with pytest.raises(ValueError, match="read-only"):
+                    column[0] = 2
+
+    def test_canonical_records_are_not_walked(self, monkeypatch):
+        records = [*self.records(), run_simulation(SimulationConfig(3, 10**5, 10))]
+        texts = [(record_to_json(r), record_to_csv(r)) for r in records]
+
+        def walk(*args, **kwargs):
+            raise AssertionError("walked the checkpoint ints")
+
+        monkeypatch.setattr(np, "fromiter", walk)
+        monkeypatch.setattr(simulation, "_loads", None)
+        with pytest.raises(AssertionError, match="walked"):
+            record_to_csv(SimulationRecord(None, tuple(self.FORCED.checkpoints)))
+        for record, (json_text, csv_text) in zip(records, texts):
+            read = record_from_json(json_text)
+            assert read == record
+            for kept in (record, read):
+                assert record_to_json(kept) == json_text
+                assert record_to_csv(kept) == csv_text
 
 
 # --- block-boundary oracle --------------------------------------------------
