@@ -10,18 +10,19 @@ three equivalent descriptions of a run:
 * labeled awakening sequence over {M_H, M_T, Tu},
 * observed day sequence over {M, Tu} (the labels with subscripts erased).
 
-Decoding observed days is one pass: each M is read as a Heads-Monday, and a
-Tu turns the M just before it into a Tails-Monday; a Tu with no fresh M before
-it is malformed. A trailing M stays a Heads-Monday if the caller declares the
-record experiment-complete, else it is undetermined (cut mid-experiment).
-The converters take enum members only; the token parsers read text.
+Decoding observed days is one table lookup per day on (that day, the next):
+an M is a Tails-Monday when a Tu follows it, else a Heads-Monday; a Tu with
+no fresh M before it is malformed. A trailing M stays a Heads-Monday if the
+caller declares the record experiment-complete, else it is undetermined (cut
+mid-experiment). The converters take enum members only; the token parsers
+read text.
 """
 
 from __future__ import annotations
 
 from enum import Enum
 from fractions import Fraction
-from itertools import chain
+from itertools import chain, islice
 from typing import Iterable, Sequence
 
 from .markov_core import Chain, DistributionVector, new_chain
@@ -149,6 +150,15 @@ def _stray(enum: type[Enum], i: int, item) -> ValueError:
 
 _AWAKENINGS = {Toss.HEADS: (Awakening.M_H,), Toss.TAILS: (Awakening.M_T, Awakening.TU)}
 _DAY = {Awakening.M_H: Observation.M, Awakening.M_T: Observation.M, Awakening.TU: Observation.TU}
+# A day's label from (that day, the next day), None after the last. A Tu
+# after a Tu has none, nor has a Tu that comes first, which is checked apart.
+_DECODE = {
+    (Observation.M, Observation.M): Awakening.M_H,
+    (Observation.M, None): Awakening.M_H,
+    (Observation.M, Observation.TU): Awakening.M_T,
+    (Observation.TU, Observation.M): Awakening.TU,
+    (Observation.TU, None): Awakening.TU,
+}
 
 
 def encode_coins(coins: Iterable[Toss | str]) -> list[Awakening]:
@@ -185,21 +195,29 @@ def decode_observations(
     With ``complete=True`` a trailing M stays a Heads-Monday (a Tails
     experiment cannot stop on its Monday); otherwise it becomes UNDETERMINED.
     """
-    m, tu, m_h = Observation.M, Observation.TU, Awakening.M_H
-    out: list[Awakening] = []
-    for i, o in enumerate(obs):
-        if o is m:
-            out.append(m_h)
-        elif o is tu:
-            if not out:
-                raise MalformedObservation("observed sequence cannot start with Tu")
-            if out[-1] is not m_h:
-                raise MalformedObservation(f"two consecutive Tu at positions {i - 1}, {i}")
-            out[-1] = Awakening.M_T
-            out.append(Awakening.TU)
-        else:
-            raise _stray(Observation, i, o)
-    if out and out[-1] is m_h and not complete:
+    if not isinstance(obs, (list, tuple)):
+        obs = list(obs)
+    try:
+        out = list(map(_DECODE.__getitem__, zip(obs, chain(islice(obs, 1, None), (None,)))))
+    except (KeyError, TypeError):
+        out = None
+    if out is None or out[:1] == [Awakening.TU]:
+        # Only now walk the days to find the first malformed one, and where it is.
+        m, tu, m_h = Observation.M, Observation.TU, Awakening.M_H
+        out = []
+        for i, o in enumerate(obs):
+            if o is m:
+                out.append(m_h)
+            elif o is tu:
+                if not out:
+                    raise MalformedObservation("observed sequence cannot start with Tu")
+                if out[-1] is not m_h:
+                    raise MalformedObservation(f"two consecutive Tu at positions {i - 1}, {i}")
+                out[-1] = Awakening.M_T
+                out.append(Awakening.TU)
+            else:
+                raise _stray(Observation, i, o)
+    if out and out[-1] is Awakening.M_H and not complete:
         out[-1] = Awakening.UNDETERMINED
     return out
 

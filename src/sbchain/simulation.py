@@ -22,12 +22,12 @@ checkpoints for any run length.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import asdict, dataclass, replace
 from itertools import chain, repeat
 from operator import add, eq, is_, sub, truediv
 from typing import Iterable, Iterator, Mapping, NamedTuple
 
-import gc
 import json
 import math
 import numbers
@@ -88,10 +88,14 @@ class SimulationRecord:
 
     The last checkpoint holds the totals. ``config`` and ``generator`` are None
     for forced replays of an explicit coin list, which carry no RNG provenance.
+    From the engine and the reader, ``checkpoints`` is a read-only sequence
+    equal to the tuple of its Checkpoints, made as they are read; it is not a
+    tuple, and ``tuple(record.checkpoints)`` gives one. A tuple of
+    Checkpoints built by hand is accepted too.
     """
 
     config: SimulationConfig | None
-    checkpoints: tuple[Checkpoint, ...]
+    checkpoints: Sequence[Checkpoint]
 
     @property
     def generator(self) -> str | None:
@@ -191,41 +195,53 @@ def _fold(
         yield np.array([c0]), np.array([m0]), np.array([h0])
 
 
-class _Checkpoints(tuple):
-    """Checkpoints that keep, read-only, the int64 columns (m, a) they were
-    made from, so that the writers need not walk their ints. Copies, pickles
-    and slices keep no columns, so their ints are walked and checked."""
+class _Checkpoints(Sequence):
+    """The checkpoints (m, a), one per row of two int64 columns that it keeps
+    and marks read-only, so that the writers need not walk their ints. Each
+    is made as it is read; the view equals the tuple of them, and slices,
+    copies and pickles are views too."""
+
+    __slots__ = ("_columns",)
+
+    def __init__(self, m: np.ndarray, a: np.ndarray):
+        m.flags.writeable = a.flags.writeable = False
+        self._columns = m, a
+
+    def __len__(self):
+        return len(self._columns[0])
+
+    def __getitem__(self, i):
+        m, a = self._columns
+        if isinstance(i, slice):
+            return _Checkpoints(m[i], a[i])
+        i = range(len(m))[i]  # the index rules and error types of a tuple
+        return tuple.__new__(Checkpoint, (m.item(i), a.item(i)))
+
+    def __iter__(self):
+        m, a = self._columns
+        # tuple.__new__ skips the Python-level NamedTuple constructor.
+        return map(tuple.__new__, repeat(Checkpoint), zip(m.tolist(), a.tolist()))
+
+    def __eq__(self, other):
+        if isinstance(other, _Checkpoints):
+            return all(map(np.array_equal, self._columns, other._columns))
+        return tuple(self) == other if isinstance(other, tuple) else NotImplemented
+
+    def __hash__(self):
+        return hash(tuple(self))
+
+    def __repr__(self):
+        return repr(tuple(self))
 
     def __reduce__(self):
-        return tuple, (tuple(self),)
-
-
-def _tuple_of(cls: type, pairs: Iterable[tuple[int, int]]) -> tuple[Checkpoint, ...]:
-    # tuple.__new__ skips the Python-level NamedTuple constructor, which
-    # dominates at 1e5+ checkpoints. Tuples of ints cannot form a cycle, so
-    # the cyclic collector is paused rather than run over them every 700.
-    enabled = gc.isenabled()
-    gc.disable()
-    try:
-        return cls(map(tuple.__new__, repeat(Checkpoint), pairs))
-    finally:
-        if enabled:
-            gc.enable()
-
-
-def _make_checkpoints(m: np.ndarray, a: np.ndarray) -> _Checkpoints:
-    """A checkpoint (m, a) per row of the int64 columns m and a, which it keeps."""
-    checkpoints = _tuple_of(_Checkpoints, zip(m.tolist(), a.tolist()))
-    m.flags.writeable = a.flags.writeable = False
-    checkpoints._columns = m, a
-    return checkpoints
+        return _Checkpoints, self._columns
 
 
 def _record(
     blocks: Iterable[np.ndarray], stride: int, config: SimulationConfig | None = None
 ) -> SimulationRecord:
     _, m, h = map(np.concatenate, zip(*_fold(blocks, stride)))
-    return SimulationRecord(config, _make_checkpoints(m, 2 * m - h))
+    return SimulationRecord(config, _Checkpoints(m, 2 * m - h))
 
 
 def run_simulation(config: SimulationConfig) -> SimulationRecord:
@@ -344,8 +360,8 @@ def _checkpoint_columns(record: SimulationRecord) -> tuple[np.ndarray, np.ndarra
     """int64 columns m and a of the record's checkpoints (m, a); ValueError
     unless there is one or more, every count is an int, m strictly increases
     within [1, 2**53], each a lies in [m, 2m], and the marks are the config's.
-    Only checkpoints that :func:`_make_checkpoints` did not build are walked
-    int by int; the checks on the columns run every time."""
+    Only checkpoints other than a :class:`_Checkpoints` view are walked int
+    by int; the checks on the columns run every time."""
     checkpoints = record.checkpoints
     n = len(checkpoints)
     if n < 1:
@@ -429,7 +445,7 @@ def _reread(text: str) -> SimulationRecord | None:
         wakes = _ints(wakes)
         if len(exps) != len(wakes):
             return None
-        record = SimulationRecord(config, _make_checkpoints(exps, wakes))
+        record = SimulationRecord(config, _Checkpoints(exps, wakes))
         columns = _checkpoint_columns(record)
     except (KeyError, TypeError, ValueError, RecursionError):
         return None
@@ -480,8 +496,8 @@ def _loads(text: str) -> SimulationRecord:
         raise ValueError(f"each checkpoint must have exactly the keys {_CHECKPOINT_FIELDS}")
     if not set(map(type, halfer)) | set(map(type, thirder)) <= {float}:
         raise ValueError("checkpoint halfer and thirder must be floats")
-    record = SimulationRecord(config, _tuple_of(tuple, zip(exps, wakes)))
-    _checkpoint_columns(record)
+    columns = _checkpoint_columns(SimulationRecord(config, tuple(zip(exps, wakes))))
+    record = SimulationRecord(config, _Checkpoints(*columns))
     # On ints: a float64 cannot hold every count of awakenings past 2**53.
     heads = list(map(sub, map(add, exps, exps), wakes))
     if not (all(map(eq, halfer, map(truediv, heads, exps)))

@@ -542,6 +542,18 @@ class TestRecordBoundary:
             for write in (record_to_json, record_to_csv):
                 assert write(kept) == write(plain)
 
+    @given(record_coins, record_strides, st.integers(0, 2**64 - 1), st.booleans())
+    @settings(deadline=None)
+    def test_each_checkpoint_reads_as_its_tuple_item(self, coins, stride, seed, seeded):
+        if seeded:
+            record = run_simulation(SimulationConfig(seed, len(coins), stride))
+        else:
+            record = forced_run(coins, checkpoint_stride=stride)
+        for view in (record.checkpoints, record_from_json(record_to_json(record)).checkpoints):
+            items = tuple(view)
+            for i in range(-len(items), len(items)):
+                assert view[i] == items[i]
+
 
 def assert_writers_match_oracle(record):
     # Compared as lists of lines: pytest then reports the first differing
