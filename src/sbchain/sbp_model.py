@@ -203,20 +203,13 @@ def decode_observations(
         out = None
     if out is None or out[:1] == [Awakening.TU]:
         # Only now walk the days to find the first malformed one, and where it is.
-        m, tu, m_h = Observation.M, Observation.TU, Awakening.M_H
-        out = []
         for i, o in enumerate(obs):
-            if o is m:
-                out.append(m_h)
-            elif o is tu:
-                if not out:
-                    raise MalformedObservation("observed sequence cannot start with Tu")
-                if out[-1] is not m_h:
-                    raise MalformedObservation(f"two consecutive Tu at positions {i - 1}, {i}")
-                out[-1] = Awakening.M_T
-                out.append(Awakening.TU)
-            else:
+            if not isinstance(o, Observation):
                 raise _stray(Observation, i, o)
+            if o is Observation.TU and i == 0:
+                raise MalformedObservation("observed sequence cannot start with Tu")
+            if o is Observation.TU and obs[i - 1] is Observation.TU:
+                raise MalformedObservation(f"two consecutive Tu at positions {i - 1}, {i}")
     if out and out[-1] is Awakening.M_H and not complete:
         out[-1] = Awakening.UNDETERMINED
     return out

@@ -409,15 +409,9 @@ _EXPERIMENTS = re.compile(r'"experiments": ([0-9]+)')
 
 
 def _ints(digits: list[str]) -> np.ndarray:
-    """int64 of each string of ASCII digits, read a column at a time;
-    ValueError for one of more than 18, which int64 might not hold."""
-    table = np.array(digits, "S")
-    if table.itemsize > 18:
-        raise ValueError("a count past int64")
-    x = np.zeros(len(digits), np.int64)
-    for column in table.view(np.uint8).reshape(-1, table.itemsize).T:  # NUL after a shorter string
-        x = np.where(column > 0, 10 * x + column - ord("0"), x)
-    return x
+    """int64 of each string of ASCII digits, by numpy's text parser; a number
+    past int64 reads as 2**63 - 1, which :func:`_checkpoint_columns` refuses."""
+    return np.fromstring(" ".join(digits), np.int64, sep=" ")
 
 
 def _reread(text: str) -> SimulationRecord | None:
@@ -531,15 +525,14 @@ _TOP = np.frombuffer(("%4s" * 10**4 % ("", *range(1, 10**4))).replace(" ", "\0")
 _NEAR_TIE = 1e-6
 
 
-def _digits(x: np.ndarray, groups: int, top: np.ndarray = _TOP) -> np.ndarray:
+def _digits(x: np.ndarray, groups: int) -> np.ndarray:
     """ASCII digits of each int64 x >= 0, one uint8 row of ``4 * groups``
-    bytes each, right-aligned; ``top`` renders the group that holds a
-    number's leading digit, so that with ``_TOP`` its leading zeros are NUL."""
+    bytes each, right-aligned, with NUL in place of leading zeros."""
     out = np.empty((len(x), groups), "<u4")
     for j in reversed(range(groups)):  # the lowest group first
         q = x // 10**4
         r = x - q * 10**4
-        out[:, j] = np.where(q > 0, _GROUP[r], top[r])
+        out[:, j] = np.where(q > 0, _GROUP[r], _TOP[r])
         x = q
     return out.view(np.uint8)
 
@@ -666,9 +659,9 @@ def _json_rows(m: np.ndarray, a: np.ndarray) -> str:
 
 
 def _csv_rows(m: np.ndarray, a: np.ndarray) -> str:
-    # Each k <= 10**6 as eight digits, "0d" and six decimals; moving the d
-    # left and a "." into its place gives "d.dddddd".
-    freq = _digits(_millionths(m, a).ravel(), 2, _GROUP).reshape(3, len(m), 8)
+    # Each k <= 10**6 plus 10**7 as eight digits, "1d" and six decimals;
+    # moving the d left and a "." into its place gives "d.dddddd".
+    freq = _digits(_millionths(m, a).ravel() + 10**7, 2).reshape(3, len(m), 8)
     freq[:, :, 0] = freq[:, :, 1]
     freq[:, :, 1] = ord(".")
     return _rows(["", *",,,,,,", "\n"], m, a, freq[0], freq[1], freq[1], freq[2], freq[2])

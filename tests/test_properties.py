@@ -447,6 +447,18 @@ class TestTossStreamOracle:
         expected = toss_oracle.block_heads(seed, block_index, count)
         assert _block_heads(seed, block_index, count).tolist() == expected.tolist()
 
+    # The pure-Python Philox costs about 0.3 µs a toss, so draws stay short
+    # here and one whole block is checked below.
+    @given(st.integers(0, 2**64 - 1), st.integers(0, 2**64 - 1), st.integers(1, 4099))
+    @settings(deadline=None)
+    def test_block_heads_equal_published_philox(self, seed, block_index, count):
+        expected = toss_oracle.philox_heads(seed, block_index, count)
+        assert _block_heads(seed, block_index, count).tolist() == expected
+
+    def test_whole_block_equals_published_philox(self):
+        top = 2**64 - 1
+        assert _block_heads(top, top, BLOCK_SIZE).tolist() == toss_oracle.philox_heads(top, top, BLOCK_SIZE)
+
 
 # --- record boundary ----------------------------------------------------------
 

@@ -198,6 +198,20 @@ class TestDecode:
     def test_empty_decodes_to_empty(self):
         assert decode_observations([]) == []
 
+    # With several faults, the one at the lowest position is reported.
+    @pytest.mark.parametrize("obs, error, message", [
+        ([OTU, None], MalformedObservation, "observed sequence cannot start with Tu"),
+        ([None, OTU], ValueError, "position 0: expected an Observation, got None"),
+        ([M, OTU, OTU, "x"], MalformedObservation, "two consecutive Tu at positions 1, 2"),
+        ([M, "x", OTU, OTU], ValueError, "position 1: expected an Observation, got 'x'"),
+        ([M, OTU, 7, OTU], ValueError, "position 2: expected an Observation, got 7"),
+        ([M, [1], OTU], ValueError, "position 1: expected an Observation, got [1]"),
+    ])
+    def test_first_fault_wins(self, obs, error, message):
+        with pytest.raises(ValueError) as info:
+            decode_observations(obs)
+        assert (type(info.value), str(info.value)) == (error, message)
+
 
 class TestRoundTrips:
     @pytest.mark.parametrize("coins", ["H", "T", "HT", "TH", "TT", "HTHTT", "THHHT"])
