@@ -25,7 +25,7 @@ from __future__ import annotations
 from collections.abc import Sequence
 from dataclasses import asdict, dataclass, replace
 from itertools import chain, repeat
-from operator import add, eq, is_, sub, truediv
+from operator import eq, is_, truediv
 from typing import Iterable, Iterator, Mapping, NamedTuple
 
 import json
@@ -358,7 +358,7 @@ _DOMAIN = "checkpoint experiments must strictly increase within [1, 2**53], awak
 
 def _checkpoint_columns(record: SimulationRecord) -> tuple[np.ndarray, np.ndarray]:
     """int64 columns m and a of the record's checkpoints (m, a); ValueError
-    unless there is one or more, every count is an int, m strictly increases
+    unless there is one or more, each a pair of ints, m strictly increases
     within [1, 2**53], each a lies in [m, 2m], and the marks are the config's.
     Only checkpoints other than a :class:`_Checkpoints` view are walked int
     by int; the checks on the columns run every time."""
@@ -368,9 +368,12 @@ def _checkpoint_columns(record: SimulationRecord) -> tuple[np.ndarray, np.ndarra
         raise ValueError("a record needs at least one checkpoint")
     columns = getattr(checkpoints, "_columns", None)
     if columns is None:
-        # np.fromiter would cast a float, a bool or a numpy int without a word.
-        if not set(map(type, chain.from_iterable(checkpoints))) <= {int}:
-            raise ValueError("checkpoint experiments and awakenings must be ints")
+        # np.fromiter would cast a float, a bool or a numpy int without a word,
+        # and read items other than pairs as one run of ints.
+        if not (all(map(issubclass, set(map(type, checkpoints)), repeat(Sequence)))
+                and set(map(len, checkpoints)) == {2}
+                and set(map(type, chain.from_iterable(checkpoints))) <= {int}):
+            raise ValueError("checkpoint experiments and awakenings must be ints, a pair per checkpoint")
         try:
             flat = np.fromiter(chain.from_iterable(checkpoints), np.int64, 2 * n)
         except OverflowError:  # a count past int64
@@ -380,14 +383,22 @@ def _checkpoint_columns(record: SimulationRecord) -> tuple[np.ndarray, np.ndarra
     # Each test runs only once the ones before it hold, so 2 * m fits.
     if m[0] < 1 or m[-1] > 2**53 or (m[1:] <= m[:-1]).any() or ((a < m) | (a > 2 * m)).any():
         raise ValueError(_DOMAIN)
-    if record.config is not None:
-        total, stride = record.config.n_experiments, record.config.checkpoint_stride
-        # With more than one mark, stride < total = m[-1] <= 2**53, so the
-        # multiples of the stride fit int64.
-        if (int(m[-1]) != total or n != -(-total // stride)
-                or (m[:-1] != np.arange(1, n) * min(stride, total)).any()):
-            raise ValueError("checkpoint marks do not match the config")
+    if record.config is not None and not np.array_equal(m, _marks(record.config, n)):
+        raise ValueError("checkpoint marks do not match the config")
     return m, a
+
+
+def _marks(config: SimulationConfig, rows: int) -> np.ndarray:
+    """The experiments m at each of ``rows`` checkpoints of a run of
+    ``config``, as int64: every stride-th, then the last; ValueError unless
+    the run has ``rows`` marks, none past 2**53. Both are tested on ints
+    before any array is built, so the multiples of the stride fit int64."""
+    n, stride = config.n_experiments, config.checkpoint_stride
+    if n > 2**53 or rows != -(-n // stride):
+        raise ValueError("checkpoint marks do not match the config")
+    marks = np.arange(1, rows + 1, dtype=np.int64) * min(stride, n)
+    marks[-1] = n
+    return marks
 
 
 _JSON_TAIL = "\n  ]\n}"
@@ -398,9 +409,6 @@ def _json_head(record: SimulationRecord) -> str:
     # json's pure-Python indent encoder is far too slow for 1e5+ rows.
     head = json.dumps({**_header(record), "checkpoints": []}, indent=2)
     return head.removesuffix("[]\n}") + "[\n"
-
-
-_CHECKPOINT_FIELDS = ("experiments", "awakenings", "halfer", "thirder")
 
 
 _ROWS_KEY = '"checkpoints": ['
@@ -430,12 +438,7 @@ def _reread(text: str) -> SimulationRecord | None:
             exps = _ints(_EXPERIMENTS.findall(text, end))
         else:
             config = SimulationConfig(**config)
-            n, stride = config.n_experiments, config.checkpoint_stride
-            # Before any array: the writer writes a row per mark, and no mark past 2**53.
-            if n > 2**53 or len(wakes) != -(-n // stride):
-                return None
-            exps = np.arange(1, len(wakes) + 1, dtype=np.int64) * min(stride, n)
-            exps[-1] = n
+            exps = _marks(config, len(wakes))
         wakes = _ints(wakes)
         if len(exps) != len(wakes):
             return None
@@ -454,18 +457,24 @@ def _reread(text: str) -> SimulationRecord | None:
 def record_from_json(text: str) -> SimulationRecord:
     """Parse :func:`record_to_json` output.
 
-    Raises ValueError for any document that function could not have written:
-    missing, extra or mistyped fields, checkpoints whose statistics do not
-    follow from their counts or whose marks do not match the config, and
-    header fields other than those the config and checkpoints imply.
-    Text that :func:`record_to_json` wrote comes back by rendering it again;
-    any other input goes through ``json.loads``.
+    Raises ValueError for any document that function could not have written.
+    Text that :func:`record_to_json` wrote comes back by rendering it again.
+    Any other input goes through ``json.loads``: its config and row counts
+    give a record, and the document must be, field for field, what
+    :func:`record_to_json` writes for that record.
     """
     return isinstance(text, str) and _reread(text) or _loads(text)
 
 
 def _loads(text: str) -> SimulationRecord:
-    """:func:`record_from_json` by way of ``json.loads``, for any layout."""
+    """:func:`record_from_json` by way of ``json.loads``, for any layout.
+
+    The config and the rows' counts give the record, whose checkpoints
+    :func:`_checkpoint_columns` checks. Each row must then equal its
+    Checkpoint's four fields, with float statistics, and each header field
+    the one :func:`_header` gives: field for field, what
+    :func:`record_to_json` writes for the record.
+    """
     try:
         doc = json.loads(text)
     except RecursionError:
@@ -475,27 +484,18 @@ def _loads(text: str) -> SimulationRecord:
     if not isinstance(doc, dict):
         raise ValueError("a record must be a JSON object")
     try:
-        config = doc["config"]
-        if config is not None:
-            config = SimulationConfig(
-                config["seed"], config["n_experiments"], config["checkpoint_stride"]
-            )
-        items = doc["checkpoints"]
-        exps, wakes, halfer, thirder = ([c[key] for c in items] for key in _CHECKPOINT_FIELDS)
+        config = None if doc["config"] is None else SimulationConfig(**doc["config"])
+        rows = doc["checkpoints"]
+        counts = tuple((row["experiments"], row["awakenings"]) for row in rows)
     except (KeyError, TypeError) as exc:
         raise ValueError(f"malformed record: {exc!r}") from None
-    # Every item yielded all four keys, so it is an object; a size of four
-    # leaves no room for another key.
-    if set(map(len, items)) - {len(_CHECKPOINT_FIELDS)}:
-        raise ValueError(f"each checkpoint must have exactly the keys {_CHECKPOINT_FIELDS}")
-    if not set(map(type, halfer)) | set(map(type, thirder)) <= {float}:
-        raise ValueError("checkpoint halfer and thirder must be floats")
-    columns = _checkpoint_columns(SimulationRecord(config, tuple(zip(exps, wakes))))
-    record = SimulationRecord(config, _Checkpoints(*columns))
-    # On ints: a float64 cannot hold every count of awakenings past 2**53.
-    heads = list(map(sub, map(add, exps, exps), wakes))
-    if not (all(map(eq, halfer, map(truediv, heads, exps)))
-            and all(map(eq, thirder, map(truediv, heads, wakes)))):
+    record = SimulationRecord(config, _Checkpoints(*_checkpoint_columns(SimulationRecord(config, counts))))
+    # Each row streamed against its Checkpoint's; == lets 1 or true pass for
+    # 1.0, so the statistics' type is tested too. The counts are ints already.
+    written = ({"experiments": c.experiments, "awakenings": c.awakenings, "halfer": c.halfer,
+                "thirder": c.thirder} for c in record.checkpoints)
+    if not (all(map(eq, rows, written))
+            and {type(row[key]) for row in rows for key in ("halfer", "thirder")} <= {float}):
         raise ValueError("checkpoint halfer/thirder must equal h/m and h/awakenings")
     header = _header(record)
     if doc.keys() != {*header, "checkpoints"}:

@@ -13,7 +13,8 @@ from sbchain.cli import (
     load_chain_spec,
     main,
 )
-from sbchain.simulation import SimulationConfig, record_from_json, run_simulation
+from sbchain.simulation import BLOCK_SIZE, SimulationConfig, record_from_json, run_simulation
+from toss_oracle import philox_heads
 
 SWAP_SPEC = json.dumps({"states": ["a", "b"], "matrix": [[0, 1], [1, 0]]})
 REDUCIBLE_SPEC = json.dumps({"states": ["a", "b"], "matrix": [[1, 0], [0, 1]]})
@@ -303,6 +304,14 @@ class TestSimulate:
         _, first, _ = run_cli(capsys, *argv)
         _, second, _ = run_cli(capsys, *argv)
         assert first == second
+
+    def test_heads_count_is_the_published_philox(self, capsys):
+        # The no-numpy CI job pins the same count from the pure-Python oracle.
+        code, out, _ = run_cli(capsys, "simulate", "--n", "100000", "--seed", "7")
+        assert code == EXIT_OK
+        assert "heads experiments:  50145\n" in out
+        blocks = [philox_heads(7, 0, BLOCK_SIZE), philox_heads(7, 1, 100000 - BLOCK_SIZE)]
+        assert sum(map(sum, blocks)) == 50145
 
     def test_zero_experiments_exits_2(self, capsys):
         code, _, err = run_cli(capsys, "simulate", "--n", "0")

@@ -596,6 +596,24 @@ class TestRecordFromJsonText:
         digit = str((int(self.TEXT[at]) + 1) % 10)
         assert "h/m" in self.refusal(self.TEXT[:at] + digit + self.TEXT[at + 1:])
 
+    # An all-Heads forced record writes 1.0 for both statistics; the first
+    # row is edited.
+    @pytest.mark.parametrize(
+        "old, new",
+        [
+            pytest.param('"thirder": 1.0\n', '"thirder": 1.0,\n      "bogus": 1.0\n', id="extra-key"),
+            pytest.param(',\n      "thirder": 1.0\n', "\n", id="missing-thirder"),
+            pytest.param('"halfer": 1.0,', '"halfer": 1,', id="int-halfer"),
+            pytest.param('"halfer": 1.0,', '"halfer": true,', id="bool-halfer"),
+            pytest.param('"halfer": 1.0,', '"halfer": 0.0,', id="changed-digit"),
+        ],
+    )
+    def test_row_other_than_its_checkpoint_writes(self, old, new):
+        text = record_to_json(forced_run("HHH"))
+        assert text.count(old) == 3
+        message = self.refusal(text.replace(old, new, 1))
+        assert message == "checkpoint halfer/thirder must equal h/m and h/awakenings"
+
     def test_changed_awakenings(self):
         first = self.RECORD.checkpoints[0].awakenings
         assert "h/m" in self.refusal(
@@ -709,6 +727,15 @@ class TestKeptColumns:
         first[at] = count
         checkpoints = (Checkpoint(*first), *self.FORCED.checkpoints[1:])
         assert checkpoints == self.FORCED.checkpoints
+        with pytest.raises(ValueError, match="must be ints"):
+            write(SimulationRecord(None, checkpoints))
+
+    @pytest.mark.parametrize("write", [record_to_json, record_to_csv])
+    @pytest.mark.parametrize(
+        "checkpoints", [((1, 1, 2), (2, 3)), ((1,), (2, 3)), (5, (2, 3))], ids=["triple", "single", "int"]
+    )
+    def test_a_checkpoint_that_is_not_a_pair_is_refused(self, write, checkpoints):
+        # np.fromiter would read ((1, 1, 2), (2, 3)) as the rows (1, 1), (2, 2).
         with pytest.raises(ValueError, match="must be ints"):
             write(SimulationRecord(None, checkpoints))
 

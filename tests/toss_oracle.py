@@ -6,10 +6,9 @@ as uint8. ``philox_words`` is Philox4x64-10 itself in pure Python, from its
 published definition (Salmon, Moraes, Dror and Shaw, "Parallel random
 numbers: as easy as 1, 2, 3", SC'11), so the toss contract is also checked
 against the algorithm rather than against numpy alone. The raw-word reader
-must agree with both. Not collected by pytest (no ``test_`` prefix).
+must agree with both. Only ``block_heads`` needs numpy, so ``philox_heads``
+also runs where numpy is absent. Not collected by pytest (no ``test_`` prefix).
 """
-
-import numpy as np
 
 _MASK = 2**64 - 1
 _M0, _M1 = 0xD2E7470EE14C6C93, 0xCA5A826395121157  # round multipliers
@@ -17,6 +16,8 @@ _W0, _W1 = 0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B  # key schedule (Weyl) increme
 
 
 def block_heads(seed, block_index, count):
+    import numpy as np
+
     key = np.array([seed, block_index], dtype=np.uint64)
     rng = np.random.Generator(np.random.Philox(key=key))
     return rng.integers(0, 2, size=count, dtype=np.uint8)
