@@ -10,22 +10,26 @@ tolerance, anywhere in this module. All types are immutable values; all
 operations are pure functions.
 
 Each decision has one path: ``_scaled`` is the only place Fractions become
-integers, ``_stochastic`` checks every row and distribution (on integer
-numerators over the lcm of the denominators), ``_times_power`` does all
-binary powering (squaring only while bits of n remain; n-step distributions
-power the initial row, never P^(n-1)), ``_tv`` computes every total-variation
-distance on integer numerators, and ``_structure`` decides irreducibility and
-the period in one pass.
+integers; ``_stochastic`` checks every row and distribution a caller hands
+in (on integer numerators over the lcm of the denominators), and ``_trusted``
+builds, unchecked, the laws that exact arithmetic derives from checked ones;
+``_times_power`` does all binary powering (squaring only while bits of n
+remain) and ``_walk`` all stepping of a row, and an n-step distribution takes
+whichever of the two makes fewer products, never forming P^(n-1); ``_tv``
+computes every total-variation distance on integer numerators; and
+``_structure`` decides irreducibility and the period in one pass.
 """
 
 from __future__ import annotations
 
 from collections import deque
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import islice, repeat
 from math import gcd, lcm
 from operator import mul
-from typing import Iterator, NamedTuple, Sequence
+from typing import NamedTuple
 
 from .rationals import _decimal, as_exact, format_rational, require_int
 
@@ -40,7 +44,6 @@ __all__ = [
 ]
 
 ZERO = Fraction(0)
-ONE = Fraction(1)
 
 
 class MarkovError(ValueError):
@@ -93,12 +96,21 @@ class StateSpace:
         return len(self.labels)
 
 
+def _length(values, name: str):
+    """The length of ``values``, if it is a list, a tuple or another Sequence
+    that is not text; ``name`` ("row 2", "distribution") leads the error
+    otherwise."""
+    if isinstance(values, (str, bytes, bytearray)) or not isinstance(values, Sequence):
+        raise MarkovError(f"{name} must be a list or tuple, got {type(values).__name__}")
+    return len(values)
+
+
 def _stochastic(values: Sequence[Fraction | int | str], name: str) -> tuple[Fraction, ...]:
     """``values`` as exact Fractions, checked to lie in [0, 1] and sum to 1.
 
     ``name`` ("row 2", "distribution") leads every error message.
     """
-    converted = tuple(as_exact(v) for v in values)
+    converted = tuple(map(as_exact, values))
     for j, v in enumerate(converted):
         if not 0 <= v.numerator <= v.denominator:
             raise NonStochasticRow(f"{name}, entry {j}: {format_rational(v)} outside [0, 1]")
@@ -116,12 +128,12 @@ class TransitionMatrix:
     rows: tuple[tuple[Fraction, ...], ...]
 
     def __init__(self, rows: Sequence[Sequence[Fraction | int | str]]):
-        k = len(rows)
+        k = _length(rows, "transition matrix")
         if k == 0:
             raise EmptyStateSpace("transition matrix must be at least 1x1")
         checked = []
         for i, row in enumerate(rows):
-            if len(row) != k:
+            if _length(row, f"row {i}") != k:
                 raise DimensionMismatch(
                     f"row {i} has {len(row)} entries, expected {k} (matrix must be square)"
                 )
@@ -143,7 +155,7 @@ class DistributionVector:
     weights: tuple[Fraction, ...]
 
     def __init__(self, weights: Sequence[Fraction | int | str]):
-        if len(weights) == 0:
+        if _length(weights, "distribution") == 0:
             raise EmptyStateSpace("distribution must have at least one weight")
         object.__setattr__(self, "weights", _stochastic(weights, "distribution"))
 
@@ -152,6 +164,19 @@ class DistributionVector:
 
     def __getitem__(self, i: int) -> Fraction:
         return self.weights[i]
+
+
+def _trusted(cls, values):
+    """A ``cls`` holding ``values`` unchecked: a tuple of Fractions, or of row
+    tuples, that exact arithmetic on checked laws has made stochastic."""
+    law = object.__new__(cls)
+    object.__setattr__(law, *cls.__dataclass_fields__, values)  # its only field
+    return law
+
+
+def _over(numerators, den):
+    """The law numerators / den, which exact arithmetic made stochastic."""
+    return _trusted(DistributionVector, tuple(map(Fraction, numerators, repeat(den))))
 
 
 @dataclass(frozen=True)
@@ -245,24 +270,32 @@ def _times_power(rows, base: list[list[int]], n: int):
         base = _int_mul(base, base)
 
 
+def _walk(w, a):
+    """The integer row ``w``, then w A, w A^2, ...: one 1 x k product a step."""
+    while True:
+        yield w
+        (w,) = _int_mul((w,), a)
+
+
 def matrix_power(matrix: TransitionMatrix, n: int) -> TransitionMatrix:
     """Exact n-th matrix power; n = 0 gives the identity."""
     require_int("n", n)
     if n < 0:
         raise ValueError(f"matrix power needs n >= 0, got {_decimal(n)}")
     k = matrix.dimension
-    if n == 0:
-        return TransitionMatrix([[ONE if i == j else ZERO for j in range(k)] for i in range(k)])
     a, d = _scaled(matrix.rows)
+    rows = _times_power(None, a, n) if n else [[int(i == j) for j in range(k)] for i in range(k)]
     den = d**n
-    return TransitionMatrix([[Fraction(x, den) for x in row] for row in _times_power(None, a, n)])
+    return _trusted(TransitionMatrix, tuple(tuple(map(Fraction, row, repeat(den))) for row in rows))
 
 
 def n_step_distribution(chain: Chain, n: int) -> DistributionVector:
     """Distribution after n steps: initial times the (n-1)-th matrix power.
 
-    The initial row is carried through the powering as a 1 x k matrix, so
-    P^(n-1) itself is never formed.
+    Of two paths, the one with fewer scalar products runs: m = n - 1 steps
+    of the initial row (m k^2), or binary powering with the row carried as a
+    1 x k matrix (a k^3 squaring per bit of m past the first, and a k^2
+    product per set bit); ties step. P^(n-1) itself is never formed.
     """
     if chain.initial is None:
         raise MissingInitialDistribution(
@@ -272,10 +305,13 @@ def n_step_distribution(chain: Chain, n: int) -> DistributionVector:
     if n < 1:
         raise ValueError(f"step index must be >= 1, got {_decimal(n)}")
     a, d = _scaled(chain.matrix.rows)
-    w, d0 = _scaled((chain.initial.weights,))
-    (weights,) = _times_power(w, a, n - 1)
-    den = d0 * d ** (n - 1)
-    return DistributionVector([Fraction(x, den) for x in weights])
+    (w,), d0 = _scaled((chain.initial.weights,))
+    m = n - 1
+    if m <= (m.bit_length() - 1) * len(a) + m.bit_count():
+        w = next(islice(_walk(w, a), m, None))
+    else:
+        (w,) = _times_power([w], a, m)
+    return _over(w, d0 * d**m)
 
 
 def _structure(matrix: TransitionMatrix) -> int | None:
@@ -289,8 +325,9 @@ def _structure(matrix: TransitionMatrix) -> int | None:
     that is the gcd of the closed walk lengths through any state.
     """
     k = matrix.dimension
-    succ = [[v for v, p in enumerate(row) if p > 0] for row in matrix.rows]
-    pred = [[u for u in range(k) if matrix.rows[u][v] > 0] for v in range(k)]
+    # Entries lie in [0, 1], so the nonzero ones are the positive ones.
+    succ = [[v for v, p in enumerate(row) if p] for row in matrix.rows]
+    pred = [[u for u, heads in enumerate(succ) if v in heads] for v in range(k)]
     for adj in (pred, succ):
         level = [-1] * k
         level[0] = 0
@@ -368,10 +405,11 @@ def _stationary(matrix: TransitionMatrix) -> DistributionVector:
     # nonsingular system; we replace the last.
     system = [[a[i][j] - (d if i == j else 0) for i in range(k)] + [0] for j in range(k - 1)]
     system.append([1] * (k + 1))
-    # Fraction-free Gauss-Jordan (Bareiss): every entry stays a minor of the
-    # system, so each division by the previous pivot is exact, and at the
-    # end every diagonal entry equals the last pivot, the determinant (up to
-    # the sign of the row swaps).
+    # Fraction-free elimination below each pivot (Bareiss): every entry stays
+    # a minor of the system, so each division by the previous pivot is exact,
+    # and the last pivot D is the determinant (up to the sign of the row
+    # swaps). Back substitution then solves for y = D pi, which Cramer's rule
+    # makes integer, so its divisions are exact too.
     previous = 1
     for c in range(k):
         p = next((r for r in range(c, k) if system[r][c] != 0), None)
@@ -380,12 +418,15 @@ def _stationary(matrix: TransitionMatrix) -> DistributionVector:
         system[c], system[p] = system[p], system[c]
         pivot_row = system[c]
         pivot = pivot_row[c]
-        for r, row in enumerate(system):
-            if r != c:
-                f = row[c]
-                system[r] = [(pivot * x - f * y) // previous for x, y in zip(row, pivot_row)]
+        for r in range(c + 1, k):
+            f = system[r][c]
+            system[r] = [(pivot * x - f * y) // previous for x, y in zip(system[r], pivot_row)]
         previous = pivot
-    return DistributionVector([Fraction(row[k], previous) for row in system])
+    y = [0] * k
+    for i in reversed(range(k)):
+        row = system[i]
+        y[i] = (previous * row[k] - sum(map(mul, row[i + 1 : k], y[i + 1 :]))) // row[i]
+    return _over(y, previous)
 
 
 def _tv(x: Sequence[int], d: int, p: Sequence[int], q: int) -> Fraction:
@@ -448,9 +489,6 @@ def _convergence_rows(chain: Chain, n_max: int) -> Iterator[ConvergenceRow]:
     (p,), q = _scaled((_stationary(chain.matrix).weights,))
     a, d = _scaled(chain.matrix.rows)
     (w,), den = _scaled((chain.initial.weights,))
-    yield ConvergenceRow(1, chain.initial, _tv(w, den, p, q))
-    for n in range(2, n_max + 1):
-        (w,) = _int_mul((w,), a)
+    for n, w in zip(range(1, n_max + 1), _walk(w, a)):
+        yield ConvergenceRow(n, _over(w, den), _tv(w, den, p, q))
         den *= d
-        current = DistributionVector([Fraction(x, den) for x in w])
-        yield ConvergenceRow(n, current, _tv(w, den, p, q))

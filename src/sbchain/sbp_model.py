@@ -25,7 +25,7 @@ from fractions import Fraction
 from itertools import chain, islice
 from typing import Iterable, Sequence
 
-from .markov_core import Chain, DistributionVector, new_chain
+from .markov_core import Chain, DistributionVector, _trusted, new_chain
 from .rationals import _decimal, _shown, require_int
 
 __all__ = [
@@ -99,16 +99,18 @@ def exact_distribution(n: int) -> DistributionVector:
     """Closed-form distribution of the n-th awakening, exact.
 
     Components: 1/3 + s/(3*2^n) for the two Monday states and
-    1/3 - s/(3*2^(n-1)) for Tuesday, with s = (-1)^(n+1). Equals the
-    matrix recursion initial * P^(n-1) for every n >= 1.
+    1/3 - s/(3*2^(n-1)) for Tuesday, with s = (-1)^(n+1). They are built
+    from ints as ((2^n + s)/3) / 2^n and ((2^(n-1) - s)/3) / 2^(n-1), where
+    both divisions by 3 are exact (2^n = (-1)^n mod 3). Equals the matrix
+    recursion initial * P^(n-1) for every n >= 1.
     """
     require_int("n", n)
     if n < 1:
         raise ValueError(f"awakening index must be >= 1, got {_decimal(n)}")
     sign = 1 if n % 2 == 1 else -1
-    monday = Fraction(1, 3) + Fraction(sign, 3 * 2**n)
-    tuesday = Fraction(1, 3) - Fraction(sign, 3 * 2 ** (n - 1))
-    return DistributionVector((monday, monday, tuesday))
+    monday = Fraction(((1 << n) + sign) // 3, 1 << n)
+    tuesday = Fraction(((1 << (n - 1)) - sign) // 3, 1 << (n - 1))
+    return _trusted(DistributionVector, (monday, monday, tuesday))
 
 
 class _TokenTable(dict):

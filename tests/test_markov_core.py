@@ -162,6 +162,40 @@ class TestConstruction:
         matrix = TransitionMatrix([["1/2", "1/2"], ["1/3", "2/3"]])
         assert matrix.rows[1][0] == THIRD
 
+    @pytest.mark.parametrize(
+        "build, message",
+        [
+            # A mapping's keys are not its weights.
+            (lambda: DistributionVector({0: "1/2", 1: "1/2"}), "distribution must be a list or tuple, got dict"),
+            (lambda: new_chain(["a", "b"], [[0, 1], [1, 0]], {1: 0, 0: 0}), "distribution .* got dict"),
+            # A set has no order to match the states to.
+            (lambda: DistributionVector({HALF, THIRD, Fraction(1, 6)}), "distribution .* got set"),
+            (lambda: TransitionMatrix({(0, 1), (1, 0)}), "transition matrix .* got set"),
+            # Text is not a row of entries, one per character.
+            (lambda: new_chain(["a", "b"], ["10", "01"]), "row 0 must be a list or tuple, got str"),
+            (lambda: TransitionMatrix([[1, 0], b"\x00\x01"]), "row 1 .* got bytes"),
+            (lambda: TransitionMatrix("1"), "transition matrix .* got str"),
+            (lambda: TransitionMatrix(None), "transition matrix must be a list or tuple, got NoneType"),
+            (lambda: TransitionMatrix([[1, 0], 5]), "row 1 .* got int"),
+            (lambda: DistributionVector(x for x in [1]), "distribution .* got generator"),
+        ],
+        ids=["dict-weights", "dict-initial", "set-weights", "set-grid", "str-rows",
+             "bytes-row", "str-grid", "none-grid", "int-row", "generator-weights"],
+    )
+    def test_only_sequences_accepted(self, build, message):
+        with pytest.raises(MarkovError, match=message):
+            build()
+
+    def test_empty_laws(self):
+        with pytest.raises(EmptyStateSpace):
+            TransitionMatrix([])
+        with pytest.raises(EmptyStateSpace):
+            DistributionVector(())
+
+    def test_tuples_and_other_sequences_accepted(self):
+        assert TransitionMatrix(((1, 0), [0, 1])) == TransitionMatrix([[1, 0], [0, 1]])
+        assert DistributionVector(range(2)[::-1]).weights == (1, 0)
+
 
 class TestMatrixPower:
     def test_zeroth_power_is_identity(self):
@@ -224,6 +258,21 @@ FOUR_STATE = TransitionMatrix(
 )
 
 
+def cycle_row(i, k=8):
+    row = [0] * k
+    row[i], row[(i + 1) % k] = THIRD, Fraction(2, 3)
+    return row
+
+
+# Each state keeps 1/3 of its weight and passes the rest on around the cycle;
+# state 0 passes half of that to state 4 instead. Irreducible and aperiodic.
+EIGHT_ROWS = [cycle_row(i) for i in range(8)]
+EIGHT_ROWS[0][1:5] = [THIRD, 0, 0, THIRD]
+EIGHT_STATE = new_chain(
+    [f"s{i}" for i in range(8)], EIGHT_ROWS, [Fraction(i + 1, 36) for i in range(8)]
+)
+
+
 class TestPowering:
     def test_matches_repeated_multiplication(self):
         chain = Chain(
@@ -262,6 +311,21 @@ class TestPowering:
             calls.clear()
             convergence_report(sbp_chain(), n)
             assert calls == [1] * (n - 1)
+        # At k = 8, 32 steps of the row (32 k^2 products) cost less than
+        # powering (5 k^3 + k^2), and 64 steps cost more than 6 k^3 + k^2.
+        calls.clear()
+        n_step_distribution(EIGHT_STATE, 33)
+        assert calls == [1] * 32
+        calls.clear()
+        n_step_distribution(EIGHT_STATE, 65)
+        assert calls == [8] * 6 + [1]
+
+    @pytest.mark.parametrize("chain", [sbp_chain(), EIGHT_STATE], ids=["k=3", "k=8"])
+    @pytest.mark.parametrize("n", [1, 2, 3, 17, 33, 65])
+    def test_either_path_equals_fraction_oracle(self, chain, n):
+        dist = n_step_distribution(chain, n)
+        rows, initial = chain.matrix.rows, chain.initial.weights
+        assert dist.weights == fraction_oracle.n_step_distribution(rows, initial, n)
 
 
 # k = 12 rows whose denominators are twelve distinct primes, so the common

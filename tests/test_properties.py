@@ -15,6 +15,7 @@ from sbchain.markov_core import (
     DistributionVector,
     TransitionMatrix,
     convergence_report,
+    ergodicity_report,
     is_ergodic,
     is_irreducible,
     matrix_power,
@@ -227,6 +228,38 @@ class TestFractionOracle:
         assert [(row.distribution.weights, row.distance) for row in rows] == expected
         assert [row.n for row in rows] == list(range(1, n_max + 1))
         assert all(all_fractions(row.distribution.weights + (row.distance,)) for row in rows)
+
+
+def assert_stored_stochastic(weights):
+    """``weights`` is a tuple of Fractions that the public check passes unchanged."""
+    assert type(weights) is tuple and all_fractions(weights)
+    assert markov_core._stochastic(weights, "law") == weights
+
+
+class TestDerivedLaws:
+    """Laws the core derives skip the stochastic check; they must still pass it."""
+
+    @given(st.data(), st.one_of(stochastic_matrices(max_dim=6), periodic_matrices()))
+    @settings(deadline=None)
+    def test_every_derived_law_is_stochastic(self, data, matrix):
+        k = matrix.dimension
+        power = matrix_power(matrix, data.draw(st.integers(0, 9)))
+        assert type(power.rows) is tuple
+        for row in power.rows:
+            assert_stored_stochastic(row)
+        initial = data.draw(distributions(k))
+        chain = new_chain([f"s{i}" for i in range(k)], matrix.rows, initial.weights)
+        # n = 2 always steps the row and n = 33 always powers it at these k
+        # (32 > 5 k + 1 for k <= 6); a drawn n falls on either side.
+        for n in (1, 2, 33, data.draw(st.integers(1, 40))):
+            assert_stored_stochastic(n_step_distribution(chain, n).weights)
+        report = ergodicity_report(matrix)
+        if report.irreducible:
+            assert_stored_stochastic(report.stationary.weights)
+            assert_stored_stochastic(stationary_distribution(matrix).weights)
+        if report.ergodic:
+            for row in convergence_report(chain, data.draw(st.integers(1, 12))):
+                assert_stored_stochastic(row.distribution.weights)
 
 
 def checked(fn, *args):

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from sbchain import markov_core
 from sbchain.markov_core import (
     DistributionVector,
     ergodicity_report,
@@ -64,6 +65,19 @@ class TestExactDistribution:
     @pytest.mark.parametrize("n", range(1, 65))
     def test_matches_matrix_recursion(self, n):
         assert exact_distribution(n) == n_step_distribution(sbp_chain(), n)
+
+    def test_matches_matrix_recursion_to_300(self):
+        chain = sbp_chain()
+        for n in range(1, 301):
+            closed = exact_distribution(n)
+            assert closed == n_step_distribution(chain, n)
+            sign = 1 if n % 2 == 1 else -1
+            monday = closed[0]
+            assert (monday.numerator, monday.denominator) == ((2**n + sign) // 3, 2**n)
+            # Built without the stochastic check, it must still pass it unchanged.
+            assert type(closed.weights) is tuple
+            assert all(type(w) is Fraction for w in closed.weights)
+            assert markov_core._stochastic(closed.weights, "law") == closed.weights
 
     def test_oscillation_sign(self):
         # Odd steps overshoot 1/3 on the Mondays, even steps undershoot.
