@@ -258,9 +258,9 @@ FOUR_STATE = TransitionMatrix(
 )
 
 
-def cycle_row(i, k=8):
-    row = [0] * k
-    row[i], row[(i + 1) % k] = THIRD, Fraction(2, 3)
+def cycle_row(i):
+    row = [0] * 8
+    row[i], row[(i + 1) % 8] = THIRD, Fraction(2, 3)
     return row
 
 

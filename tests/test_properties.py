@@ -31,6 +31,7 @@ from sbchain.sbp_model import (
     Toss,
     decode_observations,
     encode_coins,
+    exact_distribution,
     project_labels,
     validate_labeled_sequence,
 )
@@ -260,6 +261,10 @@ class TestDerivedLaws:
         if report.ergodic:
             for row in convergence_report(chain, data.draw(st.integers(1, 12))):
                 assert_stored_stochastic(row.distribution.weights)
+
+    def test_closed_form_is_stochastic(self):
+        for n in range(1, 301):
+            assert_stored_stochastic(exact_distribution(n).weights)
 
 
 def checked(fn, *args):
