@@ -422,46 +422,67 @@ def _ints(digits: list[str]) -> np.ndarray:
     return np.fromstring(" ".join(digits), np.int64, sep=" ")
 
 
+def _renders(record: SimulationRecord, text: str) -> bool:
+    """Whether ``text`` is :func:`record_to_json` of ``record``, perhaps with
+    the one "\\n" after it that ``simulate --format json`` writes. The text is
+    rendered a chunk at a time and compared in place; repr is a function of
+    the float, so equal text means equal statistics."""
+    columns, at = _checkpoint_columns(record), 0  # checked before the header reads them
+    for chunk in _text("json", _json_head(record), [columns]):
+        if not text.startswith(chunk, at):
+            return False
+        at += len(chunk)
+    return text[at:at + 2] in ("", "\n")
+
+
 def _reread(text: str) -> SimulationRecord | None:
     """The record whose :func:`record_to_json` is ``text``, or None.
 
-    The candidate comes from the config in the header and the counts in the
-    rows; its text is rendered a chunk at a time and compared with ``text``
-    in place. repr is a function of the float, so equal text means equal
-    statistics, and any other text gets None.
+    Two candidates, each kept only if it :func:`_renders` as ``text``. A
+    seeded record is a function of its config, so the first is the config's
+    :func:`run_simulation`, tried only when n <= len(text) // 2: past about
+    2 bytes of text per experiment the scan is cheaper, and the same rule
+    keeps any run within the size of its own text. The second is the scan:
+    the config in the header and the counts in the rows.
     """
     try:
         end = text.index(_ROWS_KEY) + len(_ROWS_KEY)
         config = json.loads(text[:end] + "]}")["config"]
+        if config is not None:
+            config = SimulationConfig(**config)
+            rerun = config.n_experiments <= len(text) // 2 and run_simulation(config)
+            if rerun and _renders(rerun, text):
+                return rerun
         wakes = _AWAKENINGS.findall(text, end)
         if config is None:
             exps = _ints(_EXPERIMENTS.findall(text, end))
         else:
-            config = SimulationConfig(**config)
             exps = _marks(config, len(wakes))
         wakes = _ints(wakes)
         if len(exps) != len(wakes):
             return None
         record = SimulationRecord(config, _Checkpoints(exps, wakes))
-        columns = _checkpoint_columns(record)
+        return record if _renders(record, text) else None
     except (KeyError, TypeError, ValueError, RecursionError):
         return None
-    at = 0
-    for chunk in _text("json", _json_head(record), [columns]):
-        if not text.startswith(chunk, at):
-            return None
-        at += len(chunk)
-    return record if at == len(text) else None
 
 
 def record_from_json(text: str) -> SimulationRecord:
     """Parse :func:`record_to_json` output.
 
     Raises ValueError for any document that function could not have written.
-    Text that :func:`record_to_json` wrote comes back by rendering it again.
-    Any other input goes through ``json.loads``: its config and row counts
-    give a record, and the document must be, field for field, what
-    :func:`record_to_json` writes for that record.
+    Three paths, each taken only when the one before gives no record:
+
+    - re-run: a seeded record whose n is at most len(text) // 2 is run again
+      from its config, and kept if it renders as ``text``;
+    - scan: the config in the header and the counts in the rows give a
+      record, kept if it renders as ``text``;
+    - ``json.loads``, for any layout: its config and row counts give a
+      record, and the document must be, field for field, what
+      :func:`record_to_json` writes for that record.
+
+    The first two read the writer's text with or without the one "\\n" that
+    ``simulate --format json`` adds after it.
     """
     return isinstance(text, str) and _reread(text) or _loads(text)
 
@@ -720,6 +741,11 @@ def _record_chunks(config: SimulationConfig, fmt: str) -> Iterator[str]:
     """``record_to_json`` or ``record_to_csv`` (``fmt`` "json" or "csv") of
     ``run_simulation(config)``, rendered as the fold yields each block's
     marks, so memory is one block for any n."""
+    if fmt == "json" and -(-config.n_experiments // config.checkpoint_stride) <= _MERGE_ROWS:
+        # _merged would hold all the rows for one render anyway, so one pass
+        # gives the header its totals.
+        yield record_to_json(run_simulation(config))
+        return
     # The JSON header needs the totals before any row.
     head = _json_head(_totals(config)) if fmt == "json" else _CSV_HEADER
     folded = _fold(_seeded_blocks(config), config.checkpoint_stride)

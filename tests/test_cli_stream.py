@@ -119,6 +119,27 @@ def test_stream_peak_is_flat_in_checkpoints(fmt, monkeypatch):
     assert (peak(3000) - small) / 2000 < 8
 
 
+@pytest.mark.parametrize(
+    "n, stride, passes",
+    [(256, 1, 1), (257, 1, 2), (N, N, 1), (N, -(-N // 256), 1), (N, -(-N // 257) - 1, 2)],
+)
+def test_json_stream_of_256_rows_or_fewer_draws_each_toss_once(n, stride, passes, monkeypatch):
+    # Rows that _merged would hold for one render anyway come from one run,
+    # so the header's totals need no count-only pass; more rows take one.
+    streams = []
+
+    def blocks(config):
+        streams.append(config)
+        return seeded_blocks(config)
+
+    seeded_blocks = simulation._seeded_blocks
+    monkeypatch.setattr(simulation, "_seeded_blocks", blocks)
+    config = SimulationConfig(2, n, stride)
+    text = "".join(simulation._record_chunks(config, "json"))
+    assert len(streams) == passes
+    assert text == record_to_json(run_simulation(config))
+
+
 # Read, never imported, so that nothing is written under bench/.
 BENCH_CLI = runpy.run_path(str(ROOT / "bench" / "spec.py"))["CLI"]
 

@@ -5,9 +5,10 @@ import io
 import json
 import math
 from fractions import Fraction
+from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from sbchain import cli, markov_core, simulation
@@ -577,6 +578,34 @@ class TestRecordBoundary:
             put = data.draw(st.sampled_from(["", *'0123456789 \n,.-e"}]']), label="put")
             text = text[:i] + put + text[i + cut:]
         assert checked(record_from_json, text) == checked(simulation._loads, text)
+
+    @given(st.integers(0, 2**64 - 1), st.integers(1, 3000), st.integers(1, 3000))
+    @example(seed=3, n=100, stride=1)  # about 140 bytes of text per experiment: re-run
+    @example(seed=3, n=3000, stride=3000)  # one row, about 0.14 bytes: scan
+    @settings(deadline=None)
+    def test_rerun_scan_and_json_loads_agree(self, seed, n, stride):
+        # A seeded record is re-run from its config when n <= len(text) // 2,
+        # and scanned otherwise or when the re-run renders other text; both
+        # give the record that json.loads gives for the same document.
+        record = run_simulation(SimulationConfig(seed, n, stride))
+        text = record_to_json(record)
+        runs = []
+
+        def run(config):
+            runs.append(run_simulation(config))
+            return runs[-1]
+
+        with mock.patch.object(simulation, "run_simulation", run):
+            read = simulation._reread(text)
+        assert read == record
+        rerun = n <= len(text) // 2
+        assert len(runs) == rerun
+        if rerun:
+            assert read is runs[0]
+        # With no re-run candidate, the scan alone gives the record.
+        with mock.patch.object(simulation, "run_simulation", lambda config: None):
+            assert simulation._reread(text) == record
+        assert simulation._loads(json.dumps(json.loads(text))) == record
 
     @given(record_coins, record_strides, st.integers(0, 2**64 - 1), st.booleans())
     @settings(deadline=None)

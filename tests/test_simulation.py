@@ -1,8 +1,10 @@
 """Unit tests for the Monte Carlo engine: counting, determinism, serialization."""
 
 import bisect
+import contextlib
 import copy
 import dataclasses
+import io
 import itertools
 import json
 import math
@@ -14,7 +16,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from sbchain import simulation
+from sbchain import cli, simulation
 from sbchain.sbp_model import Awakening, EmptyInput
 from sbchain.simulation import (
     BLOCK_SIZE,
@@ -579,6 +581,35 @@ class TestRecordFromJsonText:
         assert record_from_json(self.TEXT) == self.RECORD
         forced = forced_run("HTTHT", checkpoint_stride=2)
         assert record_from_json(record_to_json(forced)) == forced
+
+    def test_cli_json_output_skips_json_loads(self, monkeypatch):
+        # simulate --format json ends its text with one "\n".
+        argv = ["simulate", "--seed", "4", "--n", "100000", "--stride", "10", "--format", "json"]
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            assert cli.main(argv) == cli.EXIT_OK
+        monkeypatch.setattr(simulation, "_loads", None)
+        assert record_from_json(out.getvalue()) == run_simulation(SimulationConfig(4, 100000, 10))
+
+    def test_forged_huge_n_is_never_run(self, monkeypatch):
+        def run(config):
+            raise AssertionError("ran a simulation")
+
+        monkeypatch.setattr(simulation, "run_simulation", run)
+        text = self.TEXT.replace('"n_experiments": 1000,', f'"n_experiments": {2**53},', 1)
+        with pytest.raises(ValueError, match="config"):
+            record_from_json(text)
+
+    def test_consistent_counts_from_another_stream_are_scanned(self, monkeypatch):
+        # The config's marks with another seed's awakenings: a record the
+        # writer writes, which the re-run misses and the scan reads.
+        config = SimulationConfig(seed=9, n_experiments=1000, checkpoint_stride=10)
+        other = run_simulation(dataclasses.replace(config, seed=10))
+        record = SimulationRecord(config, tuple(other.checkpoints))
+        text = record_to_json(record)
+        assert config.n_experiments <= len(text) // 2 and record != run_simulation(config)
+        monkeypatch.setattr(simulation, "_loads", None)
+        assert record_from_json(text) == record
 
     @staticmethod
     def refusal(text):
