@@ -7,7 +7,10 @@ Products and solves run on integer numerators over one common denominator:
 P^n = (D P)^n / D^n, and the stationary law comes from fraction-free
 (Bareiss) elimination. There is no floating point, and therefore no
 tolerance, anywhere in this module. All types are immutable values; all
-operations are pure functions.
+operations are pure functions. A TransitionMatrix works out what its rows
+imply once, on first use, and keeps it: the integer rows, the period (None if
+reducible) and the stationary law. Equality, hashing and repr still read only
+``rows``.
 
 Each decision has one path: ``_scaled`` is the only place Fractions become
 integers; ``_stochastic`` checks every row and distribution a caller hands
@@ -26,6 +29,7 @@ from collections import deque
 from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from itertools import islice, repeat
 from math import gcd, lcm
 from operator import mul
@@ -147,6 +151,26 @@ class TransitionMatrix:
     def entry(self, i: int, j: int) -> Fraction:
         return self.rows[i][j]
 
+    # Facts of ``rows``, each worked out on first use and kept in the instance
+    # ``__dict__`` (so on ``_trusted`` matrices too); no field, so ``==``,
+    # ``hash`` and ``repr`` do not see them.
+    @cached_property
+    def _ints(self) -> tuple[tuple[tuple[int, ...], ...], int]:
+        """``(A, D)`` of ``_scaled``: D is the lcm of the denominators, A = D * rows."""
+        return _scaled(self.rows)
+
+    @cached_property
+    def _period(self) -> int | None:
+        """The period from ``_structure``, or None if the matrix is reducible."""
+        return _structure(self)
+
+    @cached_property
+    def _law(self) -> DistributionVector:
+        """The stationary law; raises NotIrreducible, each time, if reducible."""
+        if self._period is None:
+            raise NotIrreducible("stationary distribution is unique only for irreducible matrices")
+        return _stationary(self)
+
 
 @dataclass(frozen=True)
 class DistributionVector:
@@ -244,10 +268,10 @@ def new_chain(
     return Chain(states=space, matrix=matrix, initial=dist)
 
 
-def _scaled(rows: Sequence[Sequence[Fraction]]) -> tuple[list[list[int]], int]:
+def _scaled(rows: Sequence[Sequence[Fraction]]) -> tuple[tuple[tuple[int, ...], ...], int]:
     """``(A, D)``: D is the lcm of all denominators in ``rows``, and A = D * rows."""
     d = lcm(*(x.denominator for row in rows for x in row))
-    return [[x.numerator * (d // x.denominator) for x in row] for row in rows], d
+    return tuple(tuple([x.numerator * (d // x.denominator) for x in row]) for row in rows), d
 
 
 def _int_mul(a: Sequence[Sequence[int]], b: Sequence[Sequence[int]]) -> list[list[int]]:
@@ -283,7 +307,7 @@ def matrix_power(matrix: TransitionMatrix, n: int) -> TransitionMatrix:
     if n < 0:
         raise ValueError(f"matrix power needs n >= 0, got {_decimal(n)}")
     k = matrix.dimension
-    a, d = _scaled(matrix.rows)
+    a, d = matrix._ints
     rows = _times_power(None, a, n) if n else [[int(i == j) for j in range(k)] for i in range(k)]
     den = d**n
     return _trusted(TransitionMatrix, tuple(tuple(map(Fraction, row, repeat(den))) for row in rows))
@@ -304,7 +328,7 @@ def n_step_distribution(chain: Chain, n: int) -> DistributionVector:
     require_int("n", n)
     if n < 1:
         raise ValueError(f"step index must be >= 1, got {_decimal(n)}")
-    a, d = _scaled(chain.matrix.rows)
+    a, d = chain.matrix._ints
     (w,), d0 = _scaled((chain.initial.weights,))
     m = n - 1
     if m <= (m.bit_length() - 1) * len(a) + m.bit_count():
@@ -343,17 +367,9 @@ def _structure(matrix: TransitionMatrix) -> int | None:
     return gcd(*(level[u] + 1 - level[v] for u in range(k) for v in succ[u]))
 
 
-def _irreducible_period(matrix: TransitionMatrix, message: str) -> int:
-    """The period of ``matrix``; raises NotIrreducible with ``message`` if it is reducible."""
-    p = _structure(matrix)
-    if p is None:
-        raise NotIrreducible(message)
-    return p
-
-
 def is_irreducible(matrix: TransitionMatrix) -> bool:
     """True iff the positive-entry digraph is strongly connected."""
-    return _structure(matrix) is not None
+    return matrix._period is not None
 
 
 def period(matrix: TransitionMatrix, state: int) -> int:
@@ -362,7 +378,9 @@ def period(matrix: TransitionMatrix, state: int) -> int:
     Defined here only for irreducible matrices, where the period is the same
     for every state: irreducibility is checked first, then the state index.
     """
-    p = _irreducible_period(matrix, "period is defined here only for irreducible matrices")
+    p = matrix._period
+    if p is None:
+        raise NotIrreducible("period is defined here only for irreducible matrices")
     require_int("state", state)
     k = matrix.dimension
     if not 0 <= state < k:
@@ -372,14 +390,14 @@ def period(matrix: TransitionMatrix, state: int) -> int:
 
 def is_aperiodic(matrix: TransitionMatrix) -> bool:
     """True iff the (irreducible) matrix has period 1."""
-    return _irreducible_period(
-        matrix, "aperiodicity is defined here only for irreducible matrices"
-    ) == 1
+    if matrix._period is None:
+        raise NotIrreducible("aperiodicity is defined here only for irreducible matrices")
+    return matrix._period == 1
 
 
 def is_ergodic(matrix: TransitionMatrix) -> bool:
     """True iff irreducible and aperiodic."""
-    return _structure(matrix) == 1
+    return matrix._period == 1
 
 
 def stationary_distribution(matrix: TransitionMatrix) -> DistributionVector:
@@ -389,16 +407,13 @@ def stationary_distribution(matrix: TransitionMatrix) -> DistributionVector:
     contain more than one element and any single answer would be arbitrary.
     Irreducible-but-periodic matrices are accepted (uniqueness still holds).
     """
-    _irreducible_period(
-        matrix, "stationary distribution is unique only for irreducible matrices"
-    )
-    return _stationary(matrix)
+    return matrix._law
 
 
 def _stationary(matrix: TransitionMatrix) -> DistributionVector:
     """:func:`stationary_distribution` of a matrix already known to be irreducible."""
     k = matrix.dimension
-    a, d = _scaled(matrix.rows)
+    a, d = matrix._ints
     # Equations indexed by column j: sum_i pi_i (A[i][j] - D [i == j]) = 0.
     # The k equations are linearly dependent (rows of P - I sum to zero), so
     # replacing any one with the normalization sum pi_i = 1 gives a
@@ -445,28 +460,23 @@ def total_variation_distance(p: DistributionVector, q: DistributionVector) -> Fr
     return _tv(x, d, y, e)
 
 
-def expectation(
-    values: Sequence[Fraction | int | str], pi: DistributionVector
-) -> Fraction:
+def expectation(values: Sequence[Fraction | int | str], pi: DistributionVector) -> Fraction:
     """Exact weighted sum of per-state values under ``pi``.
 
-    ``values`` holds f evaluated at every state, in state order.
+    ``values`` holds f evaluated at every state, in state order, as a list or
+    tuple; anything else raises MarkovError.
     """
-    if len(values) != len(pi):
+    if _length(values, "function values") != len(pi):
         raise DimensionMismatch(
             f"function defined on {len(values)} states, distribution has {len(pi)}"
         )
-    return sum(
-        (as_exact(v) * w for v, w in zip(values, pi.weights)), ZERO
-    )
+    return sum((as_exact(v) * w for v, w in zip(values, pi.weights)), ZERO)
 
 
 def ergodicity_report(matrix: TransitionMatrix) -> ErgodicityReport:
     """Full structural summary: irreducibility, period, ergodicity, stationary."""
-    p = _structure(matrix)
-    if p is None:
-        return ErgodicityReport(irreducible=False, period=None, stationary=None)
-    return ErgodicityReport(irreducible=True, period=p, stationary=_stationary(matrix))
+    p = matrix._period
+    return ErgodicityReport(p is not None, p, None if p is None else matrix._law)
 
 
 def convergence_report(chain: Chain, n_max: int) -> list[ConvergenceRow]:
@@ -481,13 +491,13 @@ def convergence_report(chain: Chain, n_max: int) -> list[ConvergenceRow]:
 def _convergence_rows(chain: Chain, n_max: int) -> Iterator[ConvergenceRow]:
     """The rows of :func:`convergence_report`, one at a time; every check runs
     before the first, so a caller writing rows as they come writes none."""
-    if _structure(chain.matrix) != 1:
+    if chain.matrix._period != 1:
         raise NotErgodic("convergence report requires an ergodic transition matrix")
     if chain.initial is None:
         raise MissingInitialDistribution("convergence report needs an initial distribution")
     require_int("n_max", n_max, 1)
-    (p,), q = _scaled((_stationary(chain.matrix).weights,))
-    a, d = _scaled(chain.matrix.rows)
+    (p,), q = _scaled((chain.matrix._law.weights,))
+    a, d = chain.matrix._ints
     (w,), den = _scaled((chain.initial.weights,))
     for n, w in zip(range(1, n_max + 1), _walk(w, a)):
         yield ConvergenceRow(n, _over(w, den), _tv(w, den, p, q))

@@ -5,6 +5,9 @@ independent brute-force oracles that work directly from matrix powers,
 not from the graph algorithms under test.
 """
 
+import copy
+import dataclasses
+import pickle
 from fractions import Fraction
 from math import gcd
 
@@ -320,6 +323,20 @@ class TestPowering:
         n_step_distribution(EIGHT_STATE, 65)
         assert calls == [8] * 6 + [1]
 
+    def test_a_tie_steps(self, monkeypatch):
+        # k = 2 and n = 7: m = 6 steps make 6 k^2 scalar products, and powering
+        # (two squarings, two row products) makes 2 k^3 + 2 k^2, as many.
+        calls = []
+        product = markov_core._int_mul
+        monkeypatch.setattr(
+            markov_core, "_int_mul", lambda a, b: calls.append(len(a)) or product(a, b)
+        )
+        chain = new_chain(["a", "b"], [[HALF, HALF], [1, 0]], [1, 0])
+        dist = n_step_distribution(chain, 7)
+        assert calls == [1] * 6  # powering would make [2, 1, 2, 1]
+        rows, initial = chain.matrix.rows, chain.initial.weights
+        assert dist.weights == fraction_oracle.n_step_distribution(rows, initial, 7)
+
     @pytest.mark.parametrize("chain", [sbp_chain(), EIGHT_STATE], ids=["k=3", "k=8"])
     @pytest.mark.parametrize("n", [1, 2, 3, 17, 33, 65])
     def test_either_path_equals_fraction_oracle(self, chain, n):
@@ -510,6 +527,17 @@ class TestExpectation:
         with pytest.raises(DimensionMismatch):
             expectation([1, 2], DistributionVector([1]))
 
+    @pytest.mark.parametrize(
+        "values", [(v for v in [1, 0, 0]), None, "100"], ids=["generator", "None", "string"]
+    )
+    def test_values_must_be_a_list_or_tuple(self, values):
+        with pytest.raises(MarkovError, match="function values must be a list or tuple"):
+            expectation(values, DistributionVector([THIRD, THIRD, THIRD]))
+
+    def test_float_values_rejected(self):
+        with pytest.raises(TypeError, match="floats are not accepted"):
+            expectation([0.5, 0, 0], DistributionVector([THIRD, THIRD, THIRD]))
+
 
 class TestErgodicityReport:
     def test_sbp_report(self):
@@ -546,6 +574,51 @@ class TestErgodicityReport:
         assert len(calls) == 1
         convergence_report(sbp_chain(), 3)
         assert len(calls) == 2
+
+
+class TestKeptFacts:
+    """A matrix works out its integer rows, period and stationary law once,
+    and keeps them where equality, hashing and repr do not look."""
+
+    def test_bench_sequence_works_each_fact_out_once(self, monkeypatch):
+        chain = sbp_chain()
+        calls = {"_structure": 0, "_stationary": 0, "_scaled": 0}
+
+        def counted(name):
+            real = getattr(markov_core, name)
+
+            def call(arg):
+                if name != "_scaled" or arg is chain.matrix.rows:
+                    calls[name] += 1
+                return real(arg)
+
+            return call
+
+        for name in list(calls):
+            monkeypatch.setattr(markov_core, name, counted(name))
+        ergodicity_report(chain.matrix)
+        stationary_distribution(chain.matrix)
+        matrix_power(chain.matrix, 32)
+        n_step_distribution(chain, 33)
+        convergence_report(chain, 33)
+        period(chain.matrix, 0)
+        # Worked out in each call instead, they would run 4, 3 and 6 times.
+        assert calls == {"_structure": 1, "_stationary": 1, "_scaled": 1}
+
+    @pytest.mark.parametrize(
+        "grid", [SBP_GRID, SWAP.rows, BLOCK_DIAGONAL.rows], ids=["ergodic", "periodic", "reducible"]
+    )
+    def test_reading_facts_changes_nothing_seen(self, grid):
+        fresh, read = TransitionMatrix(grid), TransitionMatrix(grid)
+        report = ergodicity_report(read)
+        matrix_power(read, 3)
+        assert read == fresh and fresh == read
+        assert hash(read) == hash(fresh)
+        assert repr(read) == repr(fresh)
+        assert [field.name for field in dataclasses.fields(read)] == ["rows"]
+        for copied in (pickle.loads(pickle.dumps(read)), copy.deepcopy(read)):
+            assert copied == fresh
+            assert ergodicity_report(copied) == report == ergodicity_report(fresh)
 
 
 class TestConvergenceReport:

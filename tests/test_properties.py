@@ -13,10 +13,14 @@ from hypothesis import strategies as st
 
 from sbchain import cli, markov_core, simulation
 from sbchain.markov_core import (
+    Chain,
     DistributionVector,
+    NotIrreducible,
+    StateSpace,
     TransitionMatrix,
     convergence_report,
     ergodicity_report,
+    is_aperiodic,
     is_ergodic,
     is_irreducible,
     matrix_power,
@@ -188,6 +192,52 @@ class TestDistributionProperties:
         assert total_variation_distance(p, r) <= total_variation_distance(
             p, q
         ) + total_variation_distance(q, r)
+
+
+def started(matrix):
+    """A chain over ``matrix`` itself, so that it reads the matrix's kept facts."""
+    k = matrix.dimension
+    states = StateSpace([f"s{i}" for i in range(k)])
+    return Chain(states, matrix, DistributionVector([1] + [0] * (k - 1)))
+
+
+FACT_QUERIES = {
+    "report": ergodicity_report,
+    "stationary": stationary_distribution,
+    "irreducible": is_irreducible,
+    "aperiodic": is_aperiodic,
+    "ergodic": is_ergodic,
+    "period": lambda matrix: period(matrix, matrix.dimension - 1),
+    "power": lambda matrix: matrix_power(matrix, 5),
+    "n_step": lambda matrix: n_step_distribution(started(matrix), 6),
+    "convergence": lambda matrix: convergence_report(started(matrix), 4),
+}
+
+
+def outcome(query, matrix):
+    """What ``query`` returns for ``matrix``, or the type and text of its error."""
+    try:
+        return query(matrix)
+    except markov_core.MarkovError as exc:
+        return type(exc), str(exc)
+
+
+class TestKeptFacts:
+    @given(
+        st.one_of(stochastic_matrices(), periodic_matrices()),
+        st.permutations(sorted(FACT_QUERIES)),
+    )
+    @example(TransitionMatrix([[1, 0], [0, 1]]), sorted(FACT_QUERIES))
+    @example(TransitionMatrix([[0, 1], [1, 0]]), sorted(FACT_QUERIES, reverse=True))
+    @settings(deadline=None)
+    def test_any_order_reads_what_a_fresh_matrix_gives(self, matrix, order):
+        for name in order + order:
+            query = FACT_QUERIES[name]
+            assert outcome(query, matrix) == outcome(query, TransitionMatrix(matrix.rows))
+        if not is_irreducible(matrix):
+            for _ in range(3):
+                with pytest.raises(NotIrreducible):
+                    stationary_distribution(matrix)
 
 
 def all_fractions(values):

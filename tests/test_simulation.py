@@ -868,6 +868,15 @@ class TestCheckpointView:
             assert hash(record) == hash(plain)
             assert repr(record) == repr(plain)
 
+    def test_views_compare_their_awakenings(self):
+        # The same marks 1..5; a Heads experiment wakes once, a Tails one twice.
+        first = forced_run("HTTHT", checkpoint_stride=1)
+        second = forced_run("THTHT", checkpoint_stride=1)
+        assert first.checkpoints._columns[0].tolist() == second.checkpoints._columns[0].tolist()
+        assert first.checkpoints != second.checkpoints
+        assert not first.checkpoints == second.checkpoints
+        assert first != second and not first == second
+
     def test_items_are_checkpoints_of_ints(self, view):
         for item in [view[0], view[-1], *view, *reversed(view)]:
             assert type(item) is Checkpoint
