@@ -9,7 +9,10 @@ functions.
 
 Reproducibility contract: tosses come from numpy's Philox counter-based
 generator (philox4x64) keyed with (seed, block_index), one independent stream
-per block of 65536 experiments. A toss is the top bit of one byte of the
+per block of 65536 experiments. A run draws them all from one generator,
+re-keyed per block to counter 0 with no buffered words: Philox's output is a
+function of its key and counter alone, so that is the stream a fresh
+``Philox(key=...)`` gives. A toss is the top bit of one byte of the
 block's raw 64-bit output, the bytes of each word taken in little-endian
 order. That equals ``Generator.integers(0, 2, dtype=np.uint8)`` on numpy 2.x,
 but a record depends only on the BitGenerator stream, which numpy keeps
@@ -136,16 +139,25 @@ class LLNTrace:
     running_averages: tuple[tuple[int, float], ...]
 
 
-def _block_heads(seed: int, block_index: int, count: int) -> np.ndarray:
-    """Fair tosses for one block as uint8: 1 means Heads.
+def _block_heads(
+    seed: int, block_index: int, count: int, philox: np.random.Philox | None = None
+) -> np.ndarray:
+    """Fair tosses for one block as uint8: 1 means Heads, drawn from
+    ``philox`` (a new one if None) re-keyed to (seed, block_index).
 
-    ``Generator.integers(0, 2, dtype=np.uint8)`` draws the same tosses, as its
-    bounded-integer loop never rejects on a range of 2.
+    The re-keyed state is the one ``Philox(key=...)`` starts in: counter 0,
+    no buffered words. ``Generator.integers(0, 2, dtype=np.uint8)`` draws the
+    same tosses, as its bounded-integer loop never rejects on a range of 2.
     """
+    if philox is None:
+        philox = np.random.Philox(0)
     # An explicit uint64 key: numpy reads a list such as [0, 2**64 - 1] as
     # float64, which rounds the key.
     key = np.array([seed, block_index], dtype=np.uint64)
-    raw = np.random.Philox(key=key).random_raw(-(-count // 8))
+    zeros = np.zeros(4, np.uint64)
+    philox.state = {"bit_generator": "Philox", "state": {"counter": zeros, "key": key},
+                    "buffer": zeros, "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
+    raw = philox.random_raw(-(-count // 8))
     heads = raw.astype("<u8", copy=False).view(np.uint8)
     np.right_shift(heads, 7, out=heads)
     return heads[:count]
@@ -153,8 +165,11 @@ def _block_heads(seed: int, block_index: int, count: int) -> np.ndarray:
 
 def _seeded_blocks(config: SimulationConfig) -> Iterator[np.ndarray]:
     n = config.n_experiments
+    # One generator for the stream: a seed spares the OS entropy that
+    # Philox() draws, and each block replaces the whole state.
+    philox = np.random.Philox(0)
     for b, start in enumerate(range(0, n, BLOCK_SIZE)):
-        yield _block_heads(config.seed, b, min(BLOCK_SIZE, n - start))
+        yield _block_heads(config.seed, b, min(BLOCK_SIZE, n - start), philox)
 
 
 def _fold(
@@ -169,6 +184,14 @@ def _fold(
     units, and their Heads count h(m). After m experiments there have been
     a(m) = 2m - h(m) awakenings; an awakening mark with a(m) < q stops on the
     Monday of Tails experiment m + 1.
+
+    A running count is taken only over the span of the block that its marks
+    need, the Heads before the span counted once. With the block's first and
+    last marks r_a <= r_b in block-local units, the span is tosses
+    [r_a - 1, r_b) for experiment marks and
+    [ceil(r_a / 2) - 1, min(len(block), r_b)) for awakening marks: the j
+    experiments complete at awakening mark r have a(j) <= r < a(j + 1), and
+    j <= a(j) <= 2j, so ceil(r / 2) - 1 <= j <= r.
     """
     m0 = h0 = c0 = 0
     for block in blocks:
@@ -177,19 +200,24 @@ def _fold(
         c1 = 2 * m1 - h1 if per_awakening else m1
         q = np.arange(c0 - c0 % stride + stride, c1 + 1, stride)
         if len(q):
+            first, last = int(q[0]) - c0, int(q[-1]) - c0  # block-local
+            lo = (first + 1) // 2 - 1 if per_awakening else first - 1
+            span = block[lo:min(len(block), last)]
+            before = int(np.count_nonzero(block[:lo]))
             # Counts within a block fit int32; only the values read at marks
-            # are widened before h0 is added.
-            local = np.cumsum(block, dtype=np.int32)
+            # are widened before the Heads ahead of them are added.
+            local = np.cumsum(span, dtype=np.int32)
             if per_awakening:
-                # 2j - h_j awakenings after the block's first j experiments.
-                wakes = np.arange(2, 2 * len(block) + 1, 2, dtype=np.int32)
+                # 2k - local_k awakenings after the span's first k experiments:
+                # a(lo + k) - 2lo + before, so the marks are moved the other way.
+                wakes = np.arange(2, 2 * len(span) + 1, 2, dtype=np.int32)
                 wakes -= local
-                i = np.searchsorted(wakes, (q - c0).astype(np.int32), side="right")
+                k = np.searchsorted(wakes, (q - (c0 + 2 * lo - before)).astype(np.int32), side="right")
             else:
-                i = q - m0
-            h = np.where(i > 0, local[i - 1], 0).astype(np.int64)
-            h += h0
-            yield q, i + m0, h
+                k = q - (c0 + lo)
+            h = np.where(k > 0, local[k - 1], 0).astype(np.int64)
+            h += h0 + before
+            yield q, k + (m0 + lo), h
         m0, h0, c0 = m1, h1, c1
     if c0 % stride:
         yield np.array([c0]), np.array([m0]), np.array([h0])

@@ -313,6 +313,13 @@ class TestSimulate:
         blocks = [philox_heads(7, 0, BLOCK_SIZE), philox_heads(7, 1, 100000 - BLOCK_SIZE)]
         assert sum(map(sum, blocks)) == 50145
 
+    def test_heads_count_across_block_boundaries(self, capsys):
+        # Blocks of 65536, 65536 and 9 tosses, each drawn by the one
+        # generator re-keyed; the no-numpy CI job pins the oracle's sum.
+        code, out, _ = run_cli(capsys, "simulate", "--n", "131081", "--seed", "7")
+        assert code == EXIT_OK
+        assert "heads experiments:  65772\n" in out
+
     def test_zero_experiments_exits_2(self, capsys):
         code, _, err = run_cli(capsys, "simulate", "--n", "0")
         assert code == EXIT_USAGE

@@ -1,14 +1,17 @@
 """Property-based tests over random chains, coin sequences, and runs."""
 
+import bisect
 import contextlib
 import io
+import itertools
 import json
 import math
 from fractions import Fraction
 from unittest import mock
 
+import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import Phase, example, given, settings
 from hypothesis import strategies as st
 
 from sbchain import cli, markov_core, simulation
@@ -47,6 +50,7 @@ from sbchain.simulation import (
     SimulationConfig,
     SimulationRecord,
     _block_heads,
+    _fold,
     forced_run,
     lln_trace,
     record_from_json,
@@ -547,6 +551,46 @@ class TestTossStreamOracle:
     def test_whole_block_equals_published_philox(self):
         top = 2**64 - 1
         assert _block_heads(top, top, BLOCK_SIZE).tolist() == toss_oracle.philox_heads(top, top, BLOCK_SIZE)
+
+
+@st.composite
+def fold_blocks(draw):
+    """One to three blocks, whole but for perhaps the last: seeded tosses, all
+    Heads (a(j) = j) or all Tails (a(j) = 2j), the two ends of j <= a(j) <= 2j."""
+    sizes = [BLOCK_SIZE] * draw(st.integers(0, 2)) + [draw(block_counts)]
+    seed = draw(st.integers(0, 2**64 - 1))
+    kinds = st.sampled_from(["seeded", "heads", "tails"])
+    return [
+        toss_oracle.block_heads(seed, b, size) if kind == "seeded" else np.full(size, kind == "heads", np.uint8)
+        for b, (size, kind) in enumerate(zip(sizes, draw(st.lists(kinds, min_size=len(sizes), max_size=len(sizes)))))
+    ]
+
+
+# Marks on the first and last toss of a block, and odd strides over Tails,
+# whose awakening marks fall on the first count of their span.
+fold_strides = st.integers(1, 3 * BLOCK_SIZE) | st.sampled_from(
+    [1, 3, BLOCK_SIZE - 1, BLOCK_SIZE, BLOCK_SIZE + 1, 2 * BLOCK_SIZE - 1, 2 * BLOCK_SIZE, 2 * BLOCK_SIZE + 1]
+)
+
+
+class TestSpanFoldOracle:
+    # Hypothesis's explain phase traces every line a failing example runs,
+    # which over 1e5 marks takes minutes and gigabytes.
+    @given(fold_blocks(), fold_strides, st.booleans())
+    @settings(max_examples=40, deadline=None, phases=[p for p in Phase if p is not Phase.explain])
+    def test_fold_equals_running_counts(self, blocks, stride, per_awakening):
+        # Heads, and units (experiments or awakenings), after the first j tosses.
+        heads = [0, *itertools.accumulate(t for block in blocks for t in block.tolist())]
+        units = [2 * j - h for j, h in enumerate(heads)] if per_awakening else range(len(heads))
+        expected = []
+        for q in record_oracle.checkpoint_marks(units[-1], stride):
+            j = bisect.bisect_right(units, q) - 1
+            expected.append((q, j, heads[j]))
+        folded = _fold(iter(blocks), stride, per_awakening)
+        observed = [row for arrays in folded for row in zip(*(a.tolist() for a in arrays))]
+        # Only the first difference: pytest's diff of 1e5 rows is gigabytes.
+        first = next((pair for pair in itertools.zip_longest(observed, expected) if pair[0] != pair[1]), None)
+        assert first is None, f"first differing (q, m, h), observed and expected: {first}"
 
 
 # --- record boundary ----------------------------------------------------------

@@ -189,6 +189,38 @@ class TestTossStream:
         assert heads.tolist() == expected.tolist()
 
 
+class TestRekeyedStream:
+    """One Philox re-keyed per block draws what a fresh one per block would."""
+
+    def test_a_reused_generator_forgets_the_block_before(self):
+        # 9 tosses take 2 words of Philox's 4-word buffer, leaving 2 behind
+        # and the counter past 0; the next block must use neither.
+        philox = np.random.Philox(0)
+        for seed, block_index, count in [(7, 0, 9), (7, 1, BLOCK_SIZE), (2**64 - 1, 5, 9)]:
+            heads = _block_heads(seed, block_index, count, philox)
+            assert heads.tolist() == toss_oracle.block_heads(seed, block_index, count).tolist()
+
+    def test_seeded_blocks_equal_the_oracle(self):
+        n = 2 * BLOCK_SIZE + 9
+        blocks = list(simulation._seeded_blocks(SimulationConfig(7, n, n)))
+        expected = [toss_oracle.block_heads(7, b, size) for b, size in enumerate([BLOCK_SIZE, BLOCK_SIZE, 9])]
+        assert [b.tolist() for b in blocks] == [b.tolist() for b in expected]
+
+    def test_one_generator_per_stream(self, monkeypatch):
+        built = []
+        philox = np.random.Philox
+
+        def counted(*args, **kwargs):
+            built.append(args)
+            return philox(*args, **kwargs)
+
+        monkeypatch.setattr(np.random, "Philox", counted)
+        for n in (1, 5 * BLOCK_SIZE + 1):
+            built.clear()
+            assert len(list(simulation._seeded_blocks(SimulationConfig(3, n, n)))) == -(-n // BLOCK_SIZE)
+            assert len(built) == 1
+
+
 class TestFoldPastInt32:
     """One block fed 33 000 times, so counts pass 2**31 (blocks without marks
     are only counted). Every mark's q, m and h must be the exact integer."""
