@@ -9,12 +9,13 @@ functions.
 
 Reproducibility contract: tosses come from numpy's Philox counter-based
 generator (philox4x64) keyed with (seed, block_index), one independent stream
-per block of 65536 experiments. A run draws them all from one generator,
-re-keyed per block to counter 0 with no buffered words: Philox's output is a
-function of its key and counter alone, so that is the stream a fresh
-``Philox(key=...)`` gives. A toss is the top bit of one byte of the
-block's raw 64-bit output, the bytes of each word taken in little-endian
-order. That equals ``Generator.integers(0, 2, dtype=np.uint8)`` on numpy 2.x,
+per block of 65536 experiments. A run draws them all from one generator and
+one state, which each block re-keys by writing its index into the key, at
+counter 0 with no buffered words: Philox's output is a function of its key
+and counter alone, so that is the stream a fresh ``Philox(key=...)`` gives.
+A toss is the top bit of one byte of the block's raw 64-bit output, the
+bytes of each word taken in little-endian order: Heads is a byte >= 128.
+That equals ``Generator.integers(0, 2, dtype=np.uint8)`` on numpy 2.x,
 but a record depends only on the BitGenerator stream, which numpy keeps
 stable across releases (NEP 19); ``Generator`` method streams are not. The
 toss stream depends only on the seed, so identical configs produce
@@ -149,27 +150,40 @@ def _block_heads(
     no buffered words. ``Generator.integers(0, 2, dtype=np.uint8)`` draws the
     same tosses, as its bounded-integer loop never rejects on a range of 2.
     """
-    if philox is None:
-        philox = np.random.Philox(0)
+    return next(_draws(seed, [(block_index, count)], philox))
+
+
+def _draws(seed: int, blocks: Iterable[tuple[int, int]],
+           philox: np.random.Philox | None = None) -> Iterator[np.ndarray]:
+    """The tosses of each (block_index, count) in ``blocks``, as
+    :func:`_block_heads` describes them. The state is built once; each block
+    writes its index into the key and sets it whole, as the setter copies."""
+    # A seed spares the OS entropy that Philox() draws; the key replaces it.
+    philox = np.random.Philox(0) if philox is None else philox
     # An explicit uint64 key: numpy reads a list such as [0, 2**64 - 1] as
     # float64, which rounds the key.
-    key = np.array([seed, block_index], dtype=np.uint64)
+    key = np.array([seed, 0], dtype=np.uint64)
     zeros = np.zeros(4, np.uint64)
-    philox.state = {"bit_generator": "Philox", "state": {"counter": zeros, "key": key},
-                    "buffer": zeros, "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
-    raw = philox.random_raw(-(-count // 8))
-    heads = raw.astype("<u8", copy=False).view(np.uint8)
-    np.right_shift(heads, 7, out=heads)
-    return heads[:count]
+    state = {"bit_generator": "Philox", "state": {"counter": zeros, "key": key},
+             "buffer": zeros, "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
+    for block_index, count in blocks:
+        key[1] = block_index
+        philox.state = state
+        raw = philox.random_raw(-(-count // 8)).astype("<u8", copy=False).view(np.uint8)
+        # A toss is its byte's top bit: Heads is byte >= 128, written in place as 0/1.
+        yield np.greater_equal(raw, 128, out=raw.view(np.bool_)).view(np.uint8)[:count]
 
 
 def _seeded_blocks(config: SimulationConfig) -> Iterator[np.ndarray]:
+    # One generator and one state for the whole stream.
     n = config.n_experiments
-    # One generator for the stream: a seed spares the OS entropy that
-    # Philox() draws, and each block replaces the whole state.
-    philox = np.random.Philox(0)
-    for b, start in enumerate(range(0, n, BLOCK_SIZE)):
-        yield _block_heads(config.seed, b, min(BLOCK_SIZE, n - start), philox)
+    sizes = (min(BLOCK_SIZE, n - start) for start in range(0, n, BLOCK_SIZE))
+    return _draws(config.seed, enumerate(sizes))
+
+
+# The widest span of a block that an awakening mark's running count is taken over,
+# once probes have narrowed it.
+_SPAN = 2048
 
 
 def _fold(
@@ -185,39 +199,58 @@ def _fold(
     a(m) = 2m - h(m) awakenings; an awakening mark with a(m) < q stops on the
     Monday of Tails experiment m + 1.
 
-    A running count is taken only over the span of the block that its marks
-    need, the Heads before the span counted once. With the block's first and
-    last marks r_a <= r_b in block-local units, the span is tosses
-    [r_a - 1, r_b) for experiment marks and
-    [ceil(r_a / 2) - 1, min(len(block), r_b)) for awakening marks: the j
-    experiments complete at awakening mark r have a(j) <= r < a(j + 1), and
-    j <= a(j) <= 2j, so ceil(r / 2) - 1 <= j <= r.
+    A running count is taken only over a span [lo, hi) of the block, the
+    Heads before it counted once, and each mark reads the count after its
+    lo + k tosses, 0 <= k <= hi - lo. With the block's first and last marks
+    r_a <= r_b in block-local units, the span is [r_a, r_b) for experiment
+    marks. For awakening marks, let the block hold L tosses, H of them Heads,
+    and h(j) and a(j) count over its first j. The j experiments complete at
+    awakening mark r have a(j) <= r < a(j + 1). As j <= a(j) <= 2j,
+    floor(r / 2) <= j <= r. The last L - j tosses hold at most L - j Heads,
+    so H - (L - j) <= h(j) <= H and 2j - H <= a(j) <= j + L - H, which give
+    r - (L - H) <= j <= floor((r + H) / 2). The span starts as
+    [max(floor(r_a / 2), r_a - (L - H)), min(r_b, floor((r_b + H) / 2))].
+    Probes then narrow it, each a ``count_nonzero`` from its start to its
+    middle, since a(j) never decreases: a middle with a(mid) <= r_a becomes
+    the start, its Heads count carried along, and one with a(mid) > r_b the
+    end. Probing stops once the span holds at most ``_SPAN`` tosses, or when
+    a middle falls between the marks, as it does at once at dense strides.
     """
     m0 = h0 = c0 = 0
     for block in blocks:
-        m1 = m0 + len(block)
-        h1 = h0 + int(np.count_nonzero(block))
+        size, heads = len(block), int(np.count_nonzero(block))
+        m1, h1 = m0 + size, h0 + heads
         c1 = 2 * m1 - h1 if per_awakening else m1
-        q = np.arange(c0 - c0 % stride + stride, c1 + 1, stride)
-        if len(q):
+        if c0 - c0 % stride + stride <= c1:  # the block holds a mark
+            q = np.arange(c0 - c0 % stride + stride, c1 + 1, stride)
             first, last = int(q[0]) - c0, int(q[-1]) - c0  # block-local
-            lo = (first + 1) // 2 - 1 if per_awakening else first - 1
-            span = block[lo:min(len(block), last)]
-            before = int(np.count_nonzero(block[:lo]))
-            # Counts within a block fit int32; only the values read at marks
-            # are widened before the Heads ahead of them are added.
-            local = np.cumsum(span, dtype=np.int32)
+            lo, hi = first, last
             if per_awakening:
-                # 2k - local_k awakenings after the span's first k experiments:
+                lo, hi = max(first // 2, first - (size - heads)), min(last, (last + heads) // 2)
+            before = int(np.count_nonzero(block[:lo]))
+            while per_awakening and hi - lo > _SPAN:
+                mid = (lo + hi) // 2
+                h = before + int(np.count_nonzero(block[lo:mid]))
+                if 2 * mid - h <= first:
+                    lo, before = mid, h
+                elif 2 * mid - h > last:
+                    hi = mid
+                else:
+                    break
+            # local[k] is the Heads count of the span's first k tosses. Counts
+            # within a block fit int32; only the values read at marks are
+            # widened before the Heads ahead of them are added.
+            local = np.zeros(hi - lo + 1, np.int32)
+            np.cumsum(block[lo:hi], dtype=np.int32, out=local[1:])
+            if per_awakening:
+                # 2k - local[k] awakenings after the span's first k experiments:
                 # a(lo + k) - 2lo + before, so the marks are moved the other way.
-                wakes = np.arange(2, 2 * len(span) + 1, 2, dtype=np.int32)
+                wakes = np.arange(0, 2 * len(local), 2, dtype=np.int32)
                 wakes -= local
-                k = np.searchsorted(wakes, (q - (c0 + 2 * lo - before)).astype(np.int32), side="right")
+                k = np.searchsorted(wakes, (q - (c0 + 2 * lo - before)).astype(np.int32), side="right") - 1
             else:
                 k = q - (c0 + lo)
-            h = np.where(k > 0, local[k - 1], 0).astype(np.int64)
-            h += h0 + before
-            yield q, k + (m0 + lo), h
+            yield q, k + (m0 + lo), local[k].astype(np.int64) + (h0 + before)
         m0, h0, c0 = m1, h1, c1
     if c0 % stride:
         yield np.array([c0]), np.array([m0]), np.array([h0])

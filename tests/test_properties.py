@@ -526,6 +526,21 @@ class TestRunProperties:
         assert all(avg == c for _, avg in trace.running_averages)
 
 
+# Properties over large outputs run without Hypothesis's explain phase, which
+# traces every line a failing example runs: over 1e5 elements that takes
+# minutes and gigabytes. They report a failure by its first differing item,
+# as pytest's diff of two long sequences takes as much.
+NO_EXPLAIN = [p for p in Phase if p is not Phase.explain]
+
+
+def assert_same(observed, expected):
+    """``observed == expected``, a failure naming only the first differing item."""
+    if observed != expected:
+        pairs = enumerate(itertools.zip_longest(observed, expected))
+        first = next(((i, o, e) for i, (o, e) in pairs if o != e), None)
+        pytest.fail(f"first differing (index, observed, expected): {first}", pytrace=False)
+
+
 # Whole blocks and any part of one, with extra weight on counts below 8 and
 # counts that are not a multiple of 4 or 8, where a byte reader could slip.
 block_counts = st.integers(1, BLOCK_SIZE) | st.integers(1, 17) | st.sampled_from(
@@ -535,18 +550,18 @@ block_counts = st.integers(1, BLOCK_SIZE) | st.integers(1, 17) | st.sampled_from
 
 class TestTossStreamOracle:
     @given(st.integers(0, 2**64 - 1), st.integers(0, 2**64 - 1), block_counts)
-    @settings(deadline=None)
+    @settings(deadline=None, phases=NO_EXPLAIN)
     def test_block_heads_equal_generator_integers(self, seed, block_index, count):
         expected = toss_oracle.block_heads(seed, block_index, count)
-        assert _block_heads(seed, block_index, count).tolist() == expected.tolist()
+        assert_same(_block_heads(seed, block_index, count).tolist(), expected.tolist())
 
     # The pure-Python Philox costs about 0.3 µs a toss, so draws stay short
     # here and one whole block is checked below.
     @given(st.integers(0, 2**64 - 1), st.integers(0, 2**64 - 1), st.integers(1, 4099))
-    @settings(deadline=None)
+    @settings(deadline=None, phases=NO_EXPLAIN)
     def test_block_heads_equal_published_philox(self, seed, block_index, count):
         expected = toss_oracle.philox_heads(seed, block_index, count)
-        assert _block_heads(seed, block_index, count).tolist() == expected
+        assert_same(_block_heads(seed, block_index, count).tolist(), expected)
 
     def test_whole_block_equals_published_philox(self):
         top = 2**64 - 1
@@ -573,11 +588,23 @@ fold_strides = st.integers(1, 3 * BLOCK_SIZE) | st.sampled_from(
 )
 
 
+def lone_awakening_marks(test):
+    """Examples with one awakening mark in the second of two all-Heads or
+    all-Tails blocks (H = L or H = 0, where the span's bounds are tight), on
+    its first, middle and last awakening; the second block whole or not."""
+    for kind in (1, 0):
+        for size in (BLOCK_SIZE, 999):
+            blocks = [np.full(BLOCK_SIZE, kind, np.uint8), np.full(size, kind, np.uint8)]
+            before, wakes = (2 - kind) * BLOCK_SIZE, (2 - kind) * size
+            for r in (1, wakes // 2, wakes):
+                test = example(blocks=blocks, stride=before + r, per_awakening=True)(test)
+    return test
+
+
 class TestSpanFoldOracle:
-    # Hypothesis's explain phase traces every line a failing example runs,
-    # which over 1e5 marks takes minutes and gigabytes.
     @given(fold_blocks(), fold_strides, st.booleans())
-    @settings(max_examples=40, deadline=None, phases=[p for p in Phase if p is not Phase.explain])
+    @lone_awakening_marks
+    @settings(max_examples=40, deadline=None, phases=NO_EXPLAIN)
     def test_fold_equals_running_counts(self, blocks, stride, per_awakening):
         # Heads, and units (experiments or awakenings), after the first j tosses.
         heads = [0, *itertools.accumulate(t for block in blocks for t in block.tolist())]
@@ -587,10 +614,7 @@ class TestSpanFoldOracle:
             j = bisect.bisect_right(units, q) - 1
             expected.append((q, j, heads[j]))
         folded = _fold(iter(blocks), stride, per_awakening)
-        observed = [row for arrays in folded for row in zip(*(a.tolist() for a in arrays))]
-        # Only the first difference: pytest's diff of 1e5 rows is gigabytes.
-        first = next((pair for pair in itertools.zip_longest(observed, expected) if pair[0] != pair[1]), None)
-        assert first is None, f"first differing (q, m, h), observed and expected: {first}"
+        assert_same([row for arrays in folded for row in zip(*(a.tolist() for a in arrays))], expected)
 
 
 # --- record boundary ----------------------------------------------------------
@@ -729,13 +753,13 @@ class TestRecordBoundary:
 
 
 def assert_writers_match_oracle(record):
-    # Compared as lists of lines: pytest then reports the first differing
-    # line, where a diff of two long texts takes minutes per failing example.
+    # Compared as lists of lines, so that a failure names the first
+    # differing line.
     for write, oracle in [
         (record_to_json, record_oracle.record_to_json),
         (record_to_csv, record_oracle.record_to_csv),
     ]:
-        assert write(record).splitlines(True) == oracle(record).splitlines(True)
+        assert_same(write(record).splitlines(True), oracle(record).splitlines(True))
 
 
 # Anywhere up to three blocks, or within a few experiments of a block edge.
@@ -809,7 +833,7 @@ class TestRecordWriterOracle:
         assert_writers_match_oracle(record)
 
     @given(st.data(), st.integers(0, 2**64 - 1), seeded_lengths)
-    @settings(max_examples=40, deadline=None)
+    @settings(max_examples=40, deadline=None, phases=NO_EXPLAIN)
     def test_seeded_record(self, data, seed, n):
         # At most 4096 checkpoints keep the dict-per-checkpoint oracle quick.
         low = -(-n // 4096)
@@ -875,7 +899,7 @@ finite_floats = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_fr
 
 class TestLlnTraceOracle:
     @given(st.data(), st.integers(0, 2**64 - 1), seeded_lengths, st.tuples(*[finite_floats] * 3))
-    @settings(max_examples=40, deadline=None)
+    @settings(max_examples=40, deadline=None, phases=NO_EXPLAIN)
     def test_integer_averages_equal_fraction_formula(self, data, seed, n, values):
         # At most 4096 checkpoints keep the Fraction oracle quick.
         low = -(-2 * n // 4096)
@@ -883,7 +907,7 @@ class TestLlnTraceOracle:
         f = dict(zip((Awakening.M_H, Awakening.M_T, Awakening.TU), values))
         trace = lln_trace(SimulationConfig(seed, n, stride), f)
         expected = oracle_trace(oracle_heads(seed, n), stride, f)
-        assert trace.running_averages == expected
+        assert_same(trace.running_averages, expected)
         assert all(type(avg) is float for _, avg in trace.running_averages)
 
 

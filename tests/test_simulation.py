@@ -221,6 +221,61 @@ class TestRekeyedStream:
             assert len(built) == 1
 
 
+class TestInterleavedStreams:
+    def test_streams_keep_their_own_state(self):
+        # Two streams drawn in turn: each block must come from its own key.
+        n = 2 * BLOCK_SIZE + 9
+        streams = [simulation._seeded_blocks(SimulationConfig(seed, n, n)) for seed in (7, 8)]
+        for b, size in enumerate([BLOCK_SIZE, BLOCK_SIZE, 9]):
+            for seed, stream in zip((7, 8), streams):
+                assert next(stream).tolist() == toss_oracle.block_heads(seed, b, size).tolist()
+
+
+class TestAwakeningSpans:
+    """An awakening mark's running count is taken over at most ``_SPAN``
+    tosses once the count_nonzero probes have narrowed its span."""
+
+    @staticmethod
+    def cumsum_lengths(monkeypatch):
+        lengths = []
+        cumsum = np.cumsum
+
+        def counted(a, *args, **kwargs):
+            lengths.append(len(a))
+            return cumsum(a, *args, **kwargs)
+
+        monkeypatch.setattr(np, "cumsum", counted)
+        return lengths
+
+    def test_sparse_marks_read_narrow_spans(self, monkeypatch):
+        # About 30 marks, each alone in its block: without probes a span ran
+        # up to half a block.
+        lengths = self.cumsum_lengths(monkeypatch)
+        trace = lln_trace(SimulationConfig(11, 2_000_000, 100_003), indicator(Awakening.M_H))
+        assert len(trace.running_averages) == 31
+        assert len(lengths) == 30
+        assert max(lengths) <= simulation._SPAN
+
+    # Marks where a probe's a(mid) is the mark itself, found by replaying
+    # the probes over this block: a probe there must keep narrowing.
+    ON_A_PROBE = [36824, 43090, 49044, 55168, 61236]
+
+    def test_every_lone_mark_reads_a_narrow_span(self, monkeypatch):
+        # The same block twice, and one mark r in the second: stride a + r,
+        # a the block's awakenings. Each span is at most _SPAN tosses, and
+        # each mark still reads the right count.
+        block = toss_oracle.block_heads(7, 0, BLOCK_SIZE)
+        heads = [0, *itertools.accumulate(block.tolist())]
+        units = [2 * j - h for j, h in enumerate(heads)]
+        lengths = self.cumsum_lengths(monkeypatch)
+        for r in [*range(1, units[-1] + 1, 11), *self.ON_A_PROBE]:
+            lengths.clear()
+            q, m, h = (a.tolist() for a in next(_fold([block, block], units[-1] + r, per_awakening=True)))
+            j = bisect.bisect_right(units, r) - 1
+            assert (q, m, h) == ([units[-1] + r], [BLOCK_SIZE + j], [heads[-1] + heads[j]])
+            assert max(lengths) <= simulation._SPAN, r
+
+
 class TestFoldPastInt32:
     """One block fed 33 000 times, so counts pass 2**31 (blocks without marks
     are only counted). Every mark's q, m and h must be the exact integer."""
@@ -517,6 +572,15 @@ class TestRecordFromJson:
             target = target[key]
         target[path[-1]] = value
         with pytest.raises(ValueError):
+            self.load(doc)
+
+    @pytest.mark.parametrize("value", [0, False])
+    @pytest.mark.parametrize("key", ["halfer", "thirder"])
+    def test_statistic_that_equals_but_is_not_a_float(self, key, value):
+        # All Tails: both statistics are 0.0, which 0 and false equal.
+        doc = json.loads(record_to_json(forced_run("TT")))
+        doc["checkpoints"][0][key] = value
+        with pytest.raises(ValueError, match="halfer/thirder"):
             self.load(doc)
 
     def test_checkpoint_missing_key(self):
