@@ -94,8 +94,9 @@ class SimulationRecord:
     for forced replays of an explicit coin list, which carry no RNG provenance.
     From the engine and the reader, ``checkpoints`` is a read-only sequence
     equal to the tuple of its Checkpoints, made as they are read; it is not a
-    tuple, and ``tuple(record.checkpoints)`` gives one. A tuple of
-    Checkpoints built by hand is accepted too.
+    tuple, and ``tuple(record.checkpoints)`` gives one. A sequence built by
+    hand is accepted too, each checkpoint a Checkpoint or a plain ``(m, a)``
+    pair: the totals read the last one by position.
     """
 
     config: SimulationConfig | None
@@ -107,11 +108,11 @@ class SimulationRecord:
 
     @property
     def total_experiments(self) -> int:
-        return self.checkpoints[-1].experiments
+        return self.checkpoints[-1][0]
 
     @property
     def total_awakenings(self) -> int:
-        return self.checkpoints[-1].awakenings
+        return self.checkpoints[-1][1]
 
     @property
     def heads_experiments(self) -> int:
@@ -133,33 +134,34 @@ class LLNTrace:
 
     ``f_values`` is the function in state order (M_H, M_T, Tu);
     ``running_averages`` pairs an awakening count n with the average of f over
-    the first n awakenings.
+    the first n awakenings. From :func:`lln_trace` it is a read-only sequence
+    over an int64 and a float64 column, equal to the tuple of its ``(n,
+    average)`` pairs of a Python int and float, made as they are read; it is
+    not a tuple, and ``tuple(trace.running_averages)`` gives one.
     """
 
     f_values: tuple[float, float, float]
-    running_averages: tuple[tuple[int, float], ...]
+    running_averages: Sequence[tuple[int, float]]
 
 
-def _block_heads(
-    seed: int, block_index: int, count: int, philox: np.random.Philox | None = None
-) -> np.ndarray:
-    """Fair tosses for one block as uint8: 1 means Heads, drawn from
-    ``philox`` (a new one if None) re-keyed to (seed, block_index).
+def _block_heads(seed: int, block_index: int, count: int) -> np.ndarray:
+    """Fair tosses for one block as uint8: 1 means Heads, drawn from a Philox
+    keyed to (seed, block_index).
 
-    The re-keyed state is the one ``Philox(key=...)`` starts in: counter 0,
+    The keyed state is the one ``Philox(key=...)`` starts in: counter 0,
     no buffered words. ``Generator.integers(0, 2, dtype=np.uint8)`` draws the
     same tosses, as its bounded-integer loop never rejects on a range of 2.
     """
-    return next(_draws(seed, [(block_index, count)], philox))
+    return next(_draws(seed, [(block_index, count)]))
 
 
-def _draws(seed: int, blocks: Iterable[tuple[int, int]],
-           philox: np.random.Philox | None = None) -> Iterator[np.ndarray]:
+def _draws(seed: int, blocks: Iterable[tuple[int, int]]) -> Iterator[np.ndarray]:
     """The tosses of each (block_index, count) in ``blocks``, as
-    :func:`_block_heads` describes them. The state is built once; each block
-    writes its index into the key and sets it whole, as the setter copies."""
+    :func:`_block_heads` describes them, from one Philox and one state built
+    once: each block writes its index into the key and sets the state whole,
+    as the setter copies, so it starts at counter 0 with no buffered words."""
     # A seed spares the OS entropy that Philox() draws; the key replaces it.
-    philox = np.random.Philox(0) if philox is None else philox
+    philox = np.random.Philox(0)
     # An explicit uint64 key: numpy reads a list such as [0, 2**64 - 1] as
     # float64, which rounds the key.
     key = np.array([seed, 0], dtype=np.uint64)
@@ -256,36 +258,37 @@ def _fold(
         yield np.array([c0]), np.array([m0]), np.array([h0])
 
 
-class _Checkpoints(Sequence):
-    """The checkpoints (m, a), one per row of two int64 columns that it keeps
-    and marks read-only, so that the writers need not walk their ints. Each
-    is made as it is read; the view equals the tuple of them, and slices,
-    copies and pickles are views too."""
+class _Rows(Sequence):
+    """Rows over columns that it keeps and marks read-only, each row an
+    ``item`` of the row's Python scalars, made as it is read: a tuple type
+    such as Checkpoint, or tuple itself. The view equals the tuple of its
+    rows, and another view only with the same item type and columns; slices,
+    copies and pickles are views too. A Checkpoint view over the int64
+    columns (m, a) spares the writers a walk over their ints."""
 
-    __slots__ = ("_columns",)
+    __slots__ = ("_item", "_columns")
 
-    def __init__(self, m: np.ndarray, a: np.ndarray):
-        m.flags.writeable = a.flags.writeable = False
-        self._columns = m, a
+    def __init__(self, item: type, *columns: np.ndarray):
+        for column in columns:
+            column.flags.writeable = False
+        self._item, self._columns = item, columns
 
     def __len__(self):
         return len(self._columns[0])
 
     def __getitem__(self, i):
-        m, a = self._columns
         if isinstance(i, slice):
-            return _Checkpoints(m[i], a[i])
-        i = range(len(m))[i]  # the index rules and error types of a tuple
-        return tuple.__new__(Checkpoint, (m.item(i), a.item(i)))
+            return _Rows(self._item, *(column[i] for column in self._columns))
+        i = range(len(self))[i]  # the index rules and error types of a tuple
+        return tuple.__new__(self._item, [column.item(i) for column in self._columns])
 
     def __iter__(self):
-        m, a = self._columns
         # tuple.__new__ skips the Python-level NamedTuple constructor.
-        return map(tuple.__new__, repeat(Checkpoint), zip(m.tolist(), a.tolist()))
+        return map(tuple.__new__, repeat(self._item), zip(*(column.tolist() for column in self._columns)))
 
     def __eq__(self, other):
-        if isinstance(other, _Checkpoints):
-            return all(map(np.array_equal, self._columns, other._columns))
+        if isinstance(other, _Rows):
+            return self._item is other._item and all(map(np.array_equal, self._columns, other._columns))
         return tuple(self) == other if isinstance(other, tuple) else NotImplemented
 
     def __hash__(self):
@@ -295,14 +298,14 @@ class _Checkpoints(Sequence):
         return repr(tuple(self))
 
     def __reduce__(self):
-        return _Checkpoints, self._columns
+        return _Rows, (self._item, *self._columns)
 
 
 def _record(
     blocks: Iterable[np.ndarray], stride: int, config: SimulationConfig | None = None
 ) -> SimulationRecord:
     _, m, h = map(np.concatenate, zip(*_fold(blocks, stride)))
-    return SimulationRecord(config, _Checkpoints(m, 2 * m - h))
+    return SimulationRecord(config, _Rows(Checkpoint, m, 2 * m - h))
 
 
 def run_simulation(config: SimulationConfig) -> SimulationRecord:
@@ -378,12 +381,14 @@ def lln_trace(config: SimulationConfig, f: Mapping[Awakening, float]) -> LLNTrac
     ratios = [v.as_integer_ratio() for v in f_values]
     e = max(den for _, den in ratios)
     a, b, c = (num * (e // den) for num, den in ratios)
-    folded = _fold(_seeded_blocks(config), config.checkpoint_stride, per_awakening=True)
-    q, m, h = map(np.concatenate, zip(*folded))
-    # h Heads Mondays and m - h Tuesdays; the other q - m awakenings are Tails Mondays.
-    counts = zip(q.tolist(), h.tolist(), (q - m).tolist(), (m - h).tolist())
-    averages = tuple((n, (mh * a + mt * b + tu * c) / (n * e)) for n, mh, mt, tu in counts)
-    return LLNTrace(f_values=f_values, running_averages=averages)
+    folded = list(_fold(_seeded_blocks(config), config.checkpoint_stride, per_awakening=True))
+    # h Heads Mondays and m - h Tuesdays; the other q - m awakenings are Tails
+    # Mondays. Only one block's counts are Python ints at a time.
+    counts = chain.from_iterable(zip(q.tolist(), h.tolist(), (q - m).tolist(), (m - h).tolist())
+                                 for q, m, h in folded)
+    averages = np.fromiter(((mh * a + mt * b + tu * c) / (n * e) for n, mh, mt, tu in counts), np.float64)
+    q = np.concatenate([q for q, _, _ in folded])
+    return LLNTrace(f_values=f_values, running_averages=_Rows(tuple, q, averages))
 
 
 def indicator(state: Awakening) -> dict[Awakening, float]:
@@ -419,16 +424,20 @@ _DOMAIN = "checkpoint experiments must strictly increase within [1, 2**53], awak
 
 def _checkpoint_columns(record: SimulationRecord) -> tuple[np.ndarray, np.ndarray]:
     """int64 columns m and a of the record's checkpoints (m, a); ValueError
-    unless there is one or more, each a pair of ints, m strictly increases
-    within [1, 2**53], each a lies in [m, 2m], and the marks are the config's.
-    Only checkpoints other than a :class:`_Checkpoints` view are walked int
-    by int; the checks on the columns run every time."""
+    unless the config is a SimulationConfig or None, the checkpoints are a
+    sequence of one or more, each a pair of ints, m strictly increases within
+    [1, 2**53], each a lies in [m, 2m], and the marks are the config's. Only
+    checkpoints other than a Checkpoint :class:`_Rows` view are walked int by
+    int; the checks on the columns run every time."""
     checkpoints = record.checkpoints
+    if not isinstance(record.config, (SimulationConfig, type(None))) or not isinstance(checkpoints, Sequence):
+        raise ValueError("a record needs a SimulationConfig or None and a sequence of checkpoints")
     n = len(checkpoints)
     if n < 1:
         raise ValueError("a record needs at least one checkpoint")
-    columns = getattr(checkpoints, "_columns", None)
-    if columns is None:
+    if isinstance(checkpoints, _Rows) and checkpoints._item is Checkpoint:
+        m, a = checkpoints._columns
+    else:
         # np.fromiter would cast a float, a bool or a numpy int without a word,
         # and read items other than pairs as one run of ints.
         if not (all(map(issubclass, set(map(type, checkpoints)), repeat(Sequence)))
@@ -439,8 +448,7 @@ def _checkpoint_columns(record: SimulationRecord) -> tuple[np.ndarray, np.ndarra
             flat = np.fromiter(chain.from_iterable(checkpoints), np.int64, 2 * n)
         except OverflowError:  # a count past int64
             raise ValueError(_DOMAIN) from None
-        columns = flat[0::2], flat[1::2]
-    m, a = columns
+        m, a = flat[0::2], flat[1::2]
     # Each test runs only once the ones before it hold, so 2 * m fits.
     if m[0] < 1 or m[-1] > 2**53 or (m[1:] <= m[:-1]).any() or ((a < m) | (a > 2 * m)).any():
         raise ValueError(_DOMAIN)
@@ -522,7 +530,7 @@ def _reread(text: str) -> SimulationRecord | None:
         wakes = _ints(wakes)
         if len(exps) != len(wakes):
             return None
-        record = SimulationRecord(config, _Checkpoints(exps, wakes))
+        record = SimulationRecord(config, _Rows(Checkpoint, exps, wakes))
         return record if _renders(record, text) else None
     except (KeyError, TypeError, ValueError, RecursionError):
         return None
@@ -571,7 +579,7 @@ def _loads(text: str) -> SimulationRecord:
         counts = tuple((row["experiments"], row["awakenings"]) for row in rows)
     except (KeyError, TypeError) as exc:
         raise ValueError(f"malformed record: {exc!r}") from None
-    record = SimulationRecord(config, _Checkpoints(*_checkpoint_columns(SimulationRecord(config, counts))))
+    record = SimulationRecord(config, _Rows(Checkpoint, *_checkpoint_columns(SimulationRecord(config, counts))))
     # Each row streamed against its Checkpoint's; == lets 1 or true pass for
     # 1.0, so the statistics' type is tested too. The counts are ints already.
     written = ({"experiments": c.experiments, "awakenings": c.awakenings, "halfer": c.halfer,

@@ -68,14 +68,19 @@ MUTANTS = [
     Mutant("heads-bound-early", SIM, "(last + heads) // 2)", "(last + heads) // 2 - 1)", T_SIM),
     Mutant("probe-keeps-below-first", SIM, "if 2 * mid - h <= first:", "if 2 * mid - h < first:", T_SIM),
     Mutant("probe-drops-heads", SIM, "lo, before = mid, h", "lo = mid", T_SIM),
+    # The same mutant against the trace oracle alone, whose lone marks in a later block catch it.
+    Mutant("probe-drops-heads-trace-oracle", SIM, "lo, before = mid, h", "lo = mid",
+           ("tests/test_properties.py::TestLlnTraceOracle",)),
     Mutant("marks-without-heads-before", SIM, "(q - (c0 + 2 * lo - before))", "(q - (c0 + 2 * lo))", T_SIM),
     Mutant("h-without-heads-before", SIM, "+ (h0 + before)", "+ h0", T_SIM),
     Mutant("no-int64-widening", SIM, "local[k].astype(np.int64) +", "local[k] +", T_SIM),
     Mutant("no-tail-mark", SIM, "    if c0 % stride:\n", "    if False:\n", T_SIM),
     # Records, their text and the reader.
     Mutant("no-json-block-separator", SIM, '(_json_rows, ",\\n", _JSON_TAIL)', '(_json_rows, "", _JSON_TAIL)', T_STREAM),
-    Mutant("view-eq-reads-m-only", SIM, "return all(map(np.array_equal, self._columns, other._columns))",
-           "return np.array_equal(self._columns[0], other._columns[0])", T_SIM),
+    Mutant("view-eq-reads-m-only", SIM, "all(map(np.array_equal, self._columns, other._columns))",
+           "np.array_equal(self._columns[0], other._columns[0])", T_SIM),
+    Mutant("view-eq-ignores-item-type", SIM, "return self._item is other._item and all(", "return all(", T_SIM),
+    Mutant("columns-kept-from-any-view", SIM, " and checkpoints._item is Checkpoint", "", T_SIM),
     Mutant("marks-may-repeat", SIM, "(m[1:] <= m[:-1]).any()", "(m[1:] < m[:-1]).any()", T_SIM),
     Mutant("no-2**53-bound", SIM, "m[0] < 1 or m[-1] > 2**53 or", "m[0] < 1 or", T_SIM),
     Mutant("no-lower-bound-1", SIM, "if m[0] < 1 or m[-1]", "if m[-1]", T_SIM),
@@ -89,7 +94,7 @@ MUTANTS = [
            "rerun = run_simulation(config)", T_SIM),
     Mutant("lln-min-denominator", SIM, "e = max(den for _, den in ratios)", "e = min(den for _, den in ratios)",
            T_SIM),
-    Mutant("lln-divides-twice", SIM, "/ (n * e))", "/ n / e)", T_SIM),
+    Mutant("lln-divides-twice", SIM, "/ (n * e) for", "/ n / e for", T_SIM),
     # The exact core.
     Mutant("range-check-without-top", CORE, "if not 0 <= v.numerator <= v.denominator:",
            "if not 0 <= v.numerator:", T_CORE),

@@ -897,13 +897,27 @@ finite_floats = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_fr
 )
 
 
+def lone_trace_marks(test):
+    """Examples with one awakening mark alone in the second of two seeded
+    blocks, a third, a half and two thirds of the way through its
+    awakenings: far enough in that probes narrow its span, and move its start
+    past Heads that its count must carry."""
+    n, low = 2 * BLOCK_SIZE, -(-4 * BLOCK_SIZE // 4096)
+    before, wakes = (2 * BLOCK_SIZE - int(toss_oracle.block_heads(7, b, BLOCK_SIZE).sum()) for b in (0, 1))
+    for r in (wakes // 3, wakes // 2, 2 * wakes // 3):
+        test = example(seed=7, n=n, excess=before + r - low, values=(0.5, -3.25, 7.0))(test)
+    return test
+
+
 class TestLlnTraceOracle:
-    @given(st.data(), st.integers(0, 2**64 - 1), seeded_lengths, st.tuples(*[finite_floats] * 3))
+    @given(st.integers(0, 2**64 - 1), seeded_lengths, st.integers(0, 100) | st.integers(0, 10**6),
+           st.tuples(*[finite_floats] * 3))
+    @lone_trace_marks
     @settings(max_examples=40, deadline=None, phases=NO_EXPLAIN)
-    def test_integer_averages_equal_fraction_formula(self, data, seed, n, values):
-        # At most 4096 checkpoints keep the Fraction oracle quick.
-        low = -(-2 * n // 4096)
-        stride = data.draw(st.integers(low, low + 100) | st.integers(low, 10**6), label="stride")
+    def test_integer_averages_equal_fraction_formula(self, seed, n, excess, values):
+        # At most 4096 checkpoints keep the Fraction oracle quick: the stride
+        # is ``excess`` above 2n / 4096.
+        stride = -(-2 * n // 4096) + excess
         f = dict(zip((Awakening.M_H, Awakening.M_T, Awakening.TU), values))
         trace = lln_trace(SimulationConfig(seed, n, stride), f)
         expected = oracle_trace(oracle_heads(seed, n), stride, f)

@@ -194,11 +194,10 @@ class TestRekeyedStream:
 
     def test_a_reused_generator_forgets_the_block_before(self):
         # 9 tosses take 2 words of Philox's 4-word buffer, leaving 2 behind
-        # and the counter past 0; the next block must use neither.
-        philox = np.random.Philox(0)
-        for seed, block_index, count in [(7, 0, 9), (7, 1, BLOCK_SIZE), (2**64 - 1, 5, 9)]:
-            heads = _block_heads(seed, block_index, count, philox)
-            assert heads.tolist() == toss_oracle.block_heads(seed, block_index, count).tolist()
+        # and the counter past 0; the blocks after must use neither.
+        blocks = [(0, 9), (1, BLOCK_SIZE), (5, 9)]
+        drawn = [heads.tolist() for heads in simulation._draws(7, blocks)]
+        assert drawn == [toss_oracle.block_heads(7, b, count).tolist() for b, count in blocks]
 
     def test_seeded_blocks_equal_the_oracle(self):
         n = 2 * BLOCK_SIZE + 9
@@ -319,6 +318,31 @@ class TestRecordShape:
         assert record.state_counts == StateCounts(3, 2, 2)
         config = SimulationConfig(seed=0, n_experiments=1, checkpoint_stride=1)
         assert SimulationRecord(config, (Checkpoint(1, 1),)).generator == GENERATOR_NAME
+
+    def test_plain_pairs_read_as_checkpoints(self):
+        plain = SimulationRecord(None, [(2, 3), (5, 7)])
+        named = SimulationRecord(None, (Checkpoint(2, 3), Checkpoint(5, 7)))
+        assert (plain.total_experiments, plain.total_awakenings, plain.state_counts) == (5, 7, StateCounts(3, 2, 2))
+        for stat in (halfer_statistic, thirder_statistic, state_frequencies):
+            assert stat(plain) == stat(named)
+        for write in (record_to_json, record_to_csv):
+            assert write(plain) == write(named)
+        assert record_from_json(record_to_json(plain)) == named
+
+    @pytest.mark.parametrize("write", [record_to_json, record_to_csv])
+    @pytest.mark.parametrize(
+        "config, checkpoints",
+        [
+            pytest.param(None, 5, id="int-checkpoints"),
+            pytest.param(None, None, id="no-checkpoints"),
+            pytest.param(None, iter([(2, 3)]), id="iterator-checkpoints"),
+            pytest.param(5, ((2, 3),), id="int-config"),
+            pytest.param({"seed": 0, "n_experiments": 2, "checkpoint_stride": 2}, ((2, 3),), id="dict-config"),
+        ],
+    )
+    def test_writers_refuse_a_record_of_other_types(self, write, config, checkpoints):
+        with pytest.raises(ValueError, match="a SimulationConfig or None and a sequence of checkpoints"):
+            write(SimulationRecord(config, checkpoints))
 
 
 class TestSerialization:
@@ -858,6 +882,13 @@ class TestKeptColumns:
             write(SimulationRecord(None, checkpoints))
 
     @pytest.mark.parametrize("write", [record_to_json, record_to_csv])
+    def test_a_trace_view_is_walked(self, write):
+        # Its int64 and float64 columns are not a record's; its averages are floats.
+        trace = lln_trace(SimulationConfig(5, 100, 7), indicator(Awakening.M_H))
+        with pytest.raises(ValueError, match="must be ints"):
+            write(SimulationRecord(None, trace.running_averages))
+
+    @pytest.mark.parametrize("write", [record_to_json, record_to_csv])
     @pytest.mark.parametrize(
         "checkpoints", [((1, 1, 2), (2, 3)), ((1,), (2, 3)), (5, (2, 3))], ids=["triple", "single", "int"]
     )
@@ -907,15 +938,29 @@ class TestKeptColumns:
 
 class TestCheckpointView:
     """Engine and reader records hold their checkpoints as a read-only view
-    over two int64 columns, which reads as the tuple of its Checkpoints."""
+    over two int64 columns, which reads as the tuple of its Checkpoints;
+    traces hold their running averages as the same view over an int64 and a
+    float64 column, which reads as the tuple of its (n, average) pairs."""
 
     RECORDS = TestKeptColumns().records()
+    MIXED = {Awakening.M_H: 0.5, Awakening.M_T: -3.25, Awakening.TU: 7.0}
+    TRACES = [lln_trace(SimulationConfig(5, 300, 7), f) for f in (indicator(Awakening.M_H), MIXED)]
 
-    @pytest.fixture(params=range(len(RECORDS)), ids=["seeded", "forced", "seeded-read", "forced-read"])
+    @pytest.fixture(
+        params=range(len(RECORDS) + len(TRACES)),
+        ids=["seeded", "forced", "seeded-read", "forced-read", "trace", "trace-mixed"],
+    )
     def view(self, request):
-        view = self.RECORDS[request.param].checkpoints
-        assert isinstance(view, simulation._Checkpoints)
+        views = [r.checkpoints for r in self.RECORDS] + [t.running_averages for t in self.TRACES]
+        view = views[request.param]
+        assert isinstance(view, simulation._Rows)
         return view
+
+    def kind(self, view):
+        """The type of ``view``'s items, and of the two values in each."""
+        if any(view is record.checkpoints for record in self.RECORDS):
+            return Checkpoint, (int, int)
+        return tuple, (int, float)
 
     def test_index_reads_as_the_tuple(self, view):
         items = tuple(view)
@@ -931,7 +976,7 @@ class TestCheckpointView:
     def test_slices_are_views(self, view):
         items = tuple(view)
         for part in [slice(None), slice(1, None, 2), slice(None, None, -1), slice(-3, 100, 3), slice(4, 1)]:
-            assert isinstance(view[part], simulation._Checkpoints)
+            assert isinstance(view[part], simulation._Rows)
             assert view[part] == items[part]
             assert tuple(view[part]) == items[part]
 
@@ -958,11 +1003,12 @@ class TestCheckpointView:
         assert repr(view) == repr(items)
 
     def test_records_equal_their_tuple_copies(self):
-        for record in self.RECORDS:
-            plain = SimulationRecord(record.config, tuple(record.checkpoints))
-            assert record == plain and plain == record
-            assert hash(record) == hash(plain)
-            assert repr(record) == repr(plain)
+        plains = [SimulationRecord(r.config, tuple(r.checkpoints)) for r in self.RECORDS]
+        plains += [LLNTrace(t.f_values, tuple(t.running_averages)) for t in self.TRACES]
+        for held, plain in zip(self.RECORDS + self.TRACES, plains):
+            assert held == plain and plain == held
+            assert hash(held) == hash(plain)
+            assert repr(held) == repr(plain)
 
     def test_views_compare_their_awakenings(self):
         # The same marks 1..5; a Heads experiment wakes once, a Tails one twice.
@@ -973,22 +1019,44 @@ class TestCheckpointView:
         assert not first.checkpoints == second.checkpoints
         assert first != second and not first == second
 
+    def test_traces_compare_their_averages(self):
+        config = SimulationConfig(5, 300, 7)
+        first, second = (lln_trace(config, indicator(state)) for state in (Awakening.M_H, Awakening.M_T))
+        assert first.running_averages._columns[0].tolist() == second.running_averages._columns[0].tolist()
+        assert first.running_averages != second.running_averages
+        assert not first.running_averages == second.running_averages
+        assert first != second and not first == second
+
+    def test_views_compare_their_item_types(self):
+        # Checkpoint(2, 3) == (2, 3.0) as tuples, but a record's checkpoints
+        # are not a trace's averages.
+        record = simulation._Rows(Checkpoint, np.array([2]), np.array([3]))
+        trace = simulation._Rows(tuple, np.array([2]), np.array([3.0]))
+        assert record == tuple(trace) and trace == tuple(record)
+        assert record != trace and trace != record
+        assert not record == trace and not trace == record
+
     def test_items_are_checkpoints_of_ints(self, view):
+        # Or, in a trace, plain tuples of an int and a float.
+        item_type, value_types = self.kind(view)
         for item in [view[0], view[-1], *view, *reversed(view)]:
-            assert type(item) is Checkpoint
-            assert all(type(count) is int for count in item)
+            assert type(item) is item_type
+            assert tuple(map(type, item)) == value_types
 
     def test_copies_keep_read_only_columns(self, view):
+        item_type, value_types = self.kind(view)
         copies = [
             copy.deepcopy(view),
             pickle.loads(pickle.dumps(view)),
             dataclasses.asdict(SimulationRecord(None, view))["checkpoints"],
+            dataclasses.asdict(LLNTrace((0.0, 0.0, 0.0), view))["running_averages"],
         ]
         for other in copies:
-            assert isinstance(other, simulation._Checkpoints)
+            assert isinstance(other, simulation._Rows)
             assert other == view
-            for column in other._columns:
-                assert column.dtype == np.int64
+            assert type(other[0]) is item_type
+            for column, value_type in zip(other._columns, value_types, strict=True):
+                assert column.dtype == {int: np.int64, float: np.float64}[value_type]
                 with pytest.raises(ValueError, match="read-only"):
                     column[0] = 2
 
@@ -1125,6 +1193,18 @@ class TestMemory:
         finally:
             tracemalloc.stop()
         assert peak < 4 * len(text)
+
+    def test_a_trace_retains_about_its_columns(self):
+        # 1,499,124 marks, whose int64 and float64 columns take 24 MB. A tuple
+        # of (n, average) tuples retained 180 MB.
+        tracemalloc.start()
+        try:
+            trace = lln_trace(SimulationConfig(5, 10**6, 1), indicator(Awakening.M_H))
+            retained, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(trace.running_averages) == 1_499_124
+        assert retained < 48 * 2**20
 
     def test_json_reader_peak_is_below_twice_its_text(self):
         # 1e5 checkpoints. json.loads with a dict per checkpoint peaked at
