@@ -144,22 +144,16 @@ class LLNTrace:
     running_averages: Sequence[tuple[int, float]]
 
 
-def _block_heads(seed: int, block_index: int, count: int) -> np.ndarray:
-    """Fair tosses for one block as uint8: 1 means Heads, drawn from a Philox
-    keyed to (seed, block_index).
-
-    The keyed state is the one ``Philox(key=...)`` starts in: counter 0,
-    no buffered words. ``Generator.integers(0, 2, dtype=np.uint8)`` draws the
-    same tosses, as its bounded-integer loop never rejects on a range of 2.
-    """
-    return next(_draws(seed, [(block_index, count)]))
-
-
 def _draws(seed: int, blocks: Iterable[tuple[int, int]]) -> Iterator[np.ndarray]:
-    """The tosses of each (block_index, count) in ``blocks``, as
-    :func:`_block_heads` describes them, from one Philox and one state built
-    once: each block writes its index into the key and sets the state whole,
-    as the setter copies, so it starts at counter 0 with no buffered words."""
+    """Fair tosses as uint8, 1 meaning Heads, for each (block_index, count)
+    in ``blocks``, from a Philox keyed to (seed, block_index).
+
+    One Philox and one state serve the whole stream: each block writes its
+    index into the key and sets the state whole, as the setter copies, so it
+    starts where ``Philox(key=...)`` does, at counter 0 with no buffered
+    words. ``Generator.integers(0, 2, dtype=np.uint8)`` draws the same
+    tosses, as its bounded-integer loop never rejects on a range of 2.
+    """
     # A seed spares the OS entropy that Philox() draws; the key replaces it.
     philox = np.random.Philox(0)
     # An explicit uint64 key: numpy reads a list such as [0, 2**64 - 1] as
@@ -263,8 +257,9 @@ class _Rows(Sequence):
     ``item`` of the row's Python scalars, made as it is read: a tuple type
     such as Checkpoint, or tuple itself. The view equals the tuple of its
     rows, and another view only with the same item type and columns; slices,
-    copies and pickles are views too. A Checkpoint view over the int64
-    columns (m, a) spares the writers a walk over their ints."""
+    copies and pickles are views too, while ``+`` joins rows as a tuple does
+    and gives a tuple. A Checkpoint view over the int64 columns (m, a)
+    spares the writers a walk over their ints."""
 
     __slots__ = ("_item", "_columns")
 
@@ -290,6 +285,12 @@ class _Rows(Sequence):
         if isinstance(other, _Rows):
             return self._item is other._item and all(map(np.array_equal, self._columns, other._columns))
         return tuple(self) == other if isinstance(other, tuple) else NotImplemented
+
+    def __add__(self, other):
+        return tuple(self) + other
+
+    def __radd__(self, other):
+        return other + tuple(self)
 
     def __hash__(self):
         return hash(tuple(self))
@@ -387,8 +388,7 @@ def lln_trace(config: SimulationConfig, f: Mapping[Awakening, float]) -> LLNTrac
     counts = chain.from_iterable(zip(q.tolist(), h.tolist(), (q - m).tolist(), (m - h).tolist())
                                  for q, m, h in folded)
     averages = np.fromiter(((mh * a + mt * b + tu * c) / (n * e) for n, mh, mt, tu in counts), np.float64)
-    q = np.concatenate([q for q, _, _ in folded])
-    return LLNTrace(f_values=f_values, running_averages=_Rows(tuple, q, averages))
+    return LLNTrace(f_values, _Rows(tuple, np.concatenate([q for q, _, _ in folded]), averages))
 
 
 def indicator(state: Awakening) -> dict[Awakening, float]:

@@ -80,6 +80,7 @@ MUTANTS = [
     Mutant("view-eq-reads-m-only", SIM, "all(map(np.array_equal, self._columns, other._columns))",
            "np.array_equal(self._columns[0], other._columns[0])", T_SIM),
     Mutant("view-eq-ignores-item-type", SIM, "return self._item is other._item and all(", "return all(", T_SIM),
+    Mutant("view-radd-reversed", SIM, "return other + tuple(self)", "return tuple(self) + other", T_SIM),
     Mutant("columns-kept-from-any-view", SIM, " and checkpoints._item is Checkpoint", "", T_SIM),
     Mutant("marks-may-repeat", SIM, "(m[1:] <= m[:-1]).any()", "(m[1:] < m[:-1]).any()", T_SIM),
     Mutant("no-2**53-bound", SIM, "m[0] < 1 or m[-1] > 2**53 or", "m[0] < 1 or", T_SIM),

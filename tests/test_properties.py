@@ -49,7 +49,7 @@ from sbchain.simulation import (
     Checkpoint,
     SimulationConfig,
     SimulationRecord,
-    _block_heads,
+    _draws,
     _fold,
     forced_run,
     lln_trace,
@@ -553,7 +553,7 @@ class TestTossStreamOracle:
     @settings(deadline=None, phases=NO_EXPLAIN)
     def test_block_heads_equal_generator_integers(self, seed, block_index, count):
         expected = toss_oracle.block_heads(seed, block_index, count)
-        assert_same(_block_heads(seed, block_index, count).tolist(), expected.tolist())
+        assert_same(next(_draws(seed, [(block_index, count)])).tolist(), expected.tolist())
 
     # The pure-Python Philox costs about 0.3 µs a toss, so draws stay short
     # here and one whole block is checked below.
@@ -561,11 +561,11 @@ class TestTossStreamOracle:
     @settings(deadline=None, phases=NO_EXPLAIN)
     def test_block_heads_equal_published_philox(self, seed, block_index, count):
         expected = toss_oracle.philox_heads(seed, block_index, count)
-        assert_same(_block_heads(seed, block_index, count).tolist(), expected)
+        assert_same(next(_draws(seed, [(block_index, count)])).tolist(), expected)
 
     def test_whole_block_equals_published_philox(self):
         top = 2**64 - 1
-        assert _block_heads(top, top, BLOCK_SIZE).tolist() == toss_oracle.philox_heads(top, top, BLOCK_SIZE)
+        assert next(_draws(top, [(top, BLOCK_SIZE)])).tolist() == toss_oracle.philox_heads(top, top, BLOCK_SIZE)
 
 
 @st.composite

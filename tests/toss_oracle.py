@@ -1,4 +1,4 @@
-"""Reference toss streams for ``simulation._block_heads``.
+"""Reference toss streams for ``simulation._draws``.
 
 ``block_heads`` is the draw as first written: a numpy ``Generator`` over
 Philox keyed with (seed, block_index), asked for ``count`` integers in [0, 2)
