@@ -255,11 +255,11 @@ def _fold(
 class _Rows(Sequence):
     """Rows over columns that it keeps and marks read-only, each row an
     ``item`` of the row's Python scalars, made as it is read: a tuple type
-    such as Checkpoint, or tuple itself. The view equals the tuple of its
-    rows, and another view only with the same item type and columns; slices,
-    copies and pickles are views too, while ``+`` joins rows as a tuple does
-    and gives a tuple. A Checkpoint view over the int64 columns (m, a)
-    spares the writers a walk over their ints."""
+    such as Checkpoint, or tuple itself. The view equals what the tuple of
+    its rows equals, another view included; views of one item type compare
+    column by column. Slices, copies and pickles are views too, while ``+``
+    joins rows as a tuple does and gives a tuple. A Checkpoint view over the
+    int64 columns (m, a) spares the writers a walk over their ints."""
 
     __slots__ = ("_item", "_columns")
 
@@ -282,9 +282,11 @@ class _Rows(Sequence):
         return map(tuple.__new__, repeat(self._item), zip(*(column.tolist() for column in self._columns)))
 
     def __eq__(self, other):
-        if isinstance(other, _Rows):
-            return self._item is other._item and all(map(np.array_equal, self._columns, other._columns))
-        return tuple(self) == other if isinstance(other, tuple) else NotImplemented
+        if isinstance(other, _Rows) and self._item is other._item:
+            return all(map(np.array_equal, self._columns, other._columns))
+        # Not np.array_equal across item types: it casts int64 to float64,
+        # so 2**53 + 1 would equal 2.0**53.
+        return tuple(self) == tuple(other) if isinstance(other, (tuple, _Rows)) else NotImplemented
 
     def __add__(self, other):
         return tuple(self) + other
@@ -769,13 +771,21 @@ _FORMATS = {"json": (_json_rows, ",\n", _JSON_TAIL), "csv": (_csv_rows, "", "")}
 
 def _text(fmt: str, head: str, columns: Iterable[tuple[np.ndarray, np.ndarray]]) -> Iterator[str]:
     """Record text in ``fmt`` ("json" or "csv"): ``head``, then the rows of
-    each pair of columns ``_CHUNK_ROWS`` at a time, then the tail."""
+    the pairs of columns (m, a), then the tail. Consecutive pairs are held
+    until they hold ``_MERGE_ROWS`` rows or the pairs end, joined unless one
+    is held alone, and rendered ``_CHUNK_ROWS`` rows at a time."""
     render, separator, tail = _FORMATS[fmt]
-    for m, a in columns:
-        for start in range(0, len(m), _CHUNK_ROWS):
-            rows = slice(start, start + _CHUNK_ROWS)
-            yield head + render(m[rows], a[rows])
-            head = separator
+    held, rows = [], 0
+    for pair in chain(columns, [None]):
+        if pair is not None:
+            held.append(pair)
+            rows += len(pair[0])
+        if held and (rows >= _MERGE_ROWS or pair is None):
+            m, a = held[0] if len(held) == 1 else map(np.concatenate, zip(*held))
+            for start in range(0, rows, _CHUNK_ROWS):
+                yield head + render(m[start:start + _CHUNK_ROWS], a[start:start + _CHUNK_ROWS])
+                head = separator
+            held, rows = [], 0
     yield tail
 
 
@@ -790,32 +800,16 @@ def record_to_csv(record: SimulationRecord) -> str:
     return "".join(_text("csv", _CSV_HEADER, [_checkpoint_columns(record)]))
 
 
-def _merged(
-    columns: Iterable[tuple[np.ndarray, np.ndarray]]
-) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """The pairs of columns (m, a), consecutive ones joined until they hold
-    ``_MERGE_ROWS`` rows or more."""
-    held, rows = [], 0
-    for m, a in columns:
-        held.append((m, a))
-        rows += len(m)
-        if rows >= _MERGE_ROWS:
-            yield tuple(map(np.concatenate, zip(*held)))
-            held, rows = [], 0
-    if held:
-        yield tuple(map(np.concatenate, zip(*held)))
-
-
 def _record_chunks(config: SimulationConfig, fmt: str) -> Iterator[str]:
     """``record_to_json`` or ``record_to_csv`` (``fmt`` "json" or "csv") of
     ``run_simulation(config)``, rendered as the fold yields each block's
     marks, so memory is one block for any n."""
     if fmt == "json" and -(-config.n_experiments // config.checkpoint_stride) <= _MERGE_ROWS:
-        # _merged would hold all the rows for one render anyway, so one pass
+        # _text would join all the rows into one render anyway, so one pass
         # gives the header its totals.
         yield record_to_json(run_simulation(config))
         return
     # The JSON header needs the totals before any row.
     head = _json_head(_totals(config)) if fmt == "json" else _CSV_HEADER
     folded = _fold(_seeded_blocks(config), config.checkpoint_stride)
-    yield from _text(fmt, head, _merged((m, 2 * m - h) for _, m, h in folded))
+    yield from _text(fmt, head, ((m, 2 * m - h) for _, m, h in folded))

@@ -76,10 +76,14 @@ MUTANTS = [
     Mutant("no-int64-widening", SIM, "local[k].astype(np.int64) +", "local[k] +", T_SIM),
     Mutant("no-tail-mark", SIM, "    if c0 % stride:\n", "    if False:\n", T_SIM),
     # Records, their text and the reader.
+    # The join changes no bytes, only the number of renders, which test_cli_stream.py counts.
+    Mutant("text-never-joins", SIM, "if held and (rows >= _MERGE_ROWS or pair is None):", "if held:",
+           ("tests/test_cli_stream.py",)),
     Mutant("no-json-block-separator", SIM, '(_json_rows, ",\\n", _JSON_TAIL)', '(_json_rows, "", _JSON_TAIL)', T_STREAM),
     Mutant("view-eq-reads-m-only", SIM, "all(map(np.array_equal, self._columns, other._columns))",
            "np.array_equal(self._columns[0], other._columns[0])", T_SIM),
-    Mutant("view-eq-ignores-item-type", SIM, "return self._item is other._item and all(", "return all(", T_SIM),
+    Mutant("view-eq-casts-across-item-types", SIM, "if isinstance(other, _Rows) and self._item is other._item:",
+           "if isinstance(other, _Rows):", T_SIM),
     Mutant("view-radd-reversed", SIM, "return other + tuple(self)", "return tuple(self) + other", T_SIM),
     Mutant("columns-kept-from-any-view", SIM, " and checkpoints._item is Checkpoint", "", T_SIM),
     Mutant("marks-may-repeat", SIM, "(m[1:] <= m[:-1]).any()", "(m[1:] < m[:-1]).any()", T_SIM),

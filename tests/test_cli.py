@@ -179,6 +179,20 @@ class TestAnalyze:
         assert code == EXIT_USAGE
         assert "invalid JSON" in err
 
+    @pytest.mark.parametrize("field, value, message", [
+        ("matrix", [1], 'field "matrix" must be an array of rows'),
+        ("matrix", {"a": 1}, 'field "matrix" must be an array of rows'),
+        ("initial", "1", 'field "initial" must be an array'),
+        ("initial", {}, 'field "initial" must be an array'),
+    ])
+    def test_field_of_the_wrong_shape_exits_2(self, capsys, tmp_path, field, value, message):
+        spec = tmp_path / "shape.json"
+        spec.write_text(json.dumps({"states": ["a"], "matrix": [[1]], field: value}))
+        code, out, err = run_cli(capsys, "analyze", "--chain", str(spec))
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert err == f"error: {message}\n"
+
     def test_deeply_nested_json_exits_2(self, capsys, tmp_path):
         spec = tmp_path / "deep.json"
         spec.write_text("[" * 100_000)

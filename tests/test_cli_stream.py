@@ -124,7 +124,7 @@ def test_stream_peak_is_flat_in_checkpoints(fmt, monkeypatch):
     [(256, 1, 1), (257, 1, 2), (N, N, 1), (N, -(-N // 256), 1), (N, -(-N // 257) - 1, 2)],
 )
 def test_json_stream_of_256_rows_or_fewer_draws_each_toss_once(n, stride, passes, monkeypatch):
-    # Rows that _merged would hold for one render anyway come from one run,
+    # Rows that _text would join into one render anyway come from one run,
     # so the header's totals need no count-only pass; more rows take one.
     streams = []
 
@@ -138,6 +138,27 @@ def test_json_stream_of_256_rows_or_fewer_draws_each_toss_once(n, stride, passes
     text = "".join(simulation._record_chunks(config, "json"))
     assert len(streams) == passes
     assert text == record_to_json(run_simulation(config))
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_sparse_marks_are_joined_before_rendering(fmt, monkeypatch):
+    # About 218 marks a block: rendered alone, each block's rows would cost a
+    # render of their own, so they are joined into renders of 256 rows or more.
+    renders = []
+
+    def rows(texts, m, *columns):
+        renders.append(len(m))
+        return render(texts, m, *columns)
+
+    render = simulation._rows
+    monkeypatch.setattr(simulation, "_rows", rows)
+    config = SimulationConfig(6, N, 300)
+    text = "".join(simulation._record_chunks(config, fmt))
+    assert sum(renders) == -(-N // 300) > simulation._MERGE_ROWS
+    assert all(simulation._MERGE_ROWS <= size <= simulation._CHUNK_ROWS for size in renders[:-1])
+    assert len(renders) == 2
+    monkeypatch.undo()
+    assert text == {"csv": record_to_csv, "json": record_to_json}[fmt](run_simulation(config))
 
 
 # Read, never imported, so that nothing is written under bench/.

@@ -215,11 +215,15 @@ class TestDecode:
         ([M, "x", OTU, OTU], ValueError, "position 1: expected an Observation, got 'x'"),
         ([M, OTU, 7, OTU], ValueError, "position 2: expected an Observation, got 7"),
         ([M, [1], OTU], ValueError, "position 1: expected an Observation, got [1]"),
+        (iter([M, OTU, "TU"]), ValueError, "position 2: expected an Observation, got 'TU'"),
     ])
     def test_first_fault_wins(self, obs, error, message):
         with pytest.raises(ValueError) as info:
             decode_observations(obs)
         assert (type(info.value), str(info.value)) == (error, message)
+
+    def test_one_pass_iterator(self):
+        assert decode_observations(iter([M, M, OTU, M])) == [MH, MT, TU, UNK]
 
 
 class TestRoundTrips:

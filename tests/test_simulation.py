@@ -1040,12 +1040,22 @@ class TestCheckpointView:
         assert not first.running_averages == second.running_averages
         assert first != second and not first == second
 
-    def test_views_compare_their_item_types(self):
-        # Checkpoint(2, 3) == (2, 3.0) as tuples, but a record's checkpoints
-        # are not a trace's averages.
+    def test_views_of_two_item_types_compare_as_their_tuples(self):
+        # Checkpoint(2, 3) == (2, 3.0), so a record view equals a trace view
+        # over the same numbers, and == stays transitive through the tuples.
         record = simulation._Rows(Checkpoint, np.array([2]), np.array([3]))
         trace = simulation._Rows(tuple, np.array([2]), np.array([3.0]))
-        assert record == tuple(trace) and trace == tuple(record)
+        assert record == trace and trace == record
+        assert not (record != trace or trace != record)
+        assert hash(record) == hash(trace) == hash(((2, 3),))
+        assert record != trace[:0] and trace[:0] != record
+
+    def test_views_of_two_item_types_compare_exactly(self):
+        # np.array_equal would cast the int64 column to float64, where
+        # 2**53 + 1 rounds to 2.0**53; the tuples compare int and float exactly.
+        record = simulation._Rows(Checkpoint, np.array([2**53]), np.array([2**53 + 1]))
+        trace = simulation._Rows(tuple, np.array([2**53]), np.array([2.0**53]))
+        assert tuple(record) != tuple(trace)
         assert record != trace and trace != record
         assert not record == trace and not trace == record
 
