@@ -10,12 +10,12 @@ three equivalent descriptions of a run:
 * labeled awakening sequence over {M_H, M_T, Tu},
 * observed day sequence over {M, Tu} (the labels with subscripts erased).
 
-Decoding observed days is one table lookup per day on (that day, the next):
-an M is a Tails-Monday when a Tu follows it, else a Heads-Monday; a Tu with
-no fresh M before it is malformed. A trailing M stays a Heads-Monday if the
-caller declares the record experiment-complete, else it is undetermined (cut
-mid-experiment). The converters take enum members only; the token parsers
-read text.
+Decoding observed days takes two table lookups per day: the next day picks
+a table, and that day picks its label from it. An M is a Tails-Monday when a
+Tu follows it, else a Heads-Monday; a Tu with no fresh M before it is
+malformed. A trailing M stays a Heads-Monday if the caller declares the
+record experiment-complete, else it is undetermined (cut mid-experiment). The
+converters take enum members only; the token parsers read text.
 """
 
 from __future__ import annotations
@@ -114,28 +114,41 @@ def exact_distribution(n: int) -> DistributionVector:
 
 
 class _TokenTable(dict):
-    """Members of ``enum`` by value, and by themselves if ``members``. A token
-    that misses is retried stripped and uppercased if it is a string; any
-    other token raises ValueError with ``error`` formatted with its repr."""
+    """Maps each member's value, and the member itself if ``members``, to
+    ``values[member]``. A token that misses is retried stripped and uppercased
+    if it is a string; any other token raises ValueError with ``error``
+    formatted with its repr."""
 
-    def __init__(self, enum: type[Enum], error: str, members: bool = False):
-        super().__init__({m.value: m for m in enum})
+    def __init__(self, values: dict, error: str, members: bool = False):
+        super().__init__({m.value: v for m, v in values.items()})
         if members:
-            self.update({m: m for m in enum})
+            self.update(values)
         self.error = error
 
     def __missing__(self, token):
-        member = self.get(token.strip().upper()) if isinstance(token, str) else None
-        if member is None:
+        value = self.get(token.strip().upper()) if isinstance(token, str) else None
+        if value is None:
             raise ValueError(self.error.format(_shown(token)))
-        return member
+        return value
 
 
-def _parse_tokens(table: _TokenTable, tokens: Iterable) -> list:
-    if not isinstance(tokens, (list, tuple, str)):
-        tokens = list(tokens)
+def _listed(items, what: str) -> list | tuple | str:
+    """``items`` itself if a list, tuple or str, else ``list(items)``;
+    ValueError naming ``what`` was expected if it is not iterable."""
+    if isinstance(items, (list, tuple, str)):
+        return items
     try:
-        return list(map(table.__getitem__, tokens))
+        items = iter(items)
+    except TypeError:
+        raise ValueError(f"expected an iterable of {what}, got {_shown(items)}") from None
+    return list(items)
+
+
+def _parse_tokens(table: _TokenTable, tokens: Iterable, into=list):
+    """``into`` applied to the iterator of ``table``'s value for each token."""
+    tokens = _listed(tokens, "tokens")
+    try:
+        return into(map(table.__getitem__, tokens))
     except TypeError:
         # map stopped at the first unhashable token: all before it matched.
         for token in tokens:
@@ -150,31 +163,25 @@ def _stray(enum: type[Enum], i: int, item) -> ValueError:
     return ValueError(f"position {i}: expected an {enum.__name__}, got {_shown(item)}")
 
 
-_AWAKENINGS = {Toss.HEADS: (Awakening.M_H,), Toss.TAILS: (Awakening.M_T, Awakening.TU)}
 _DAY = {Awakening.M_H: Observation.M, Awakening.M_T: Observation.M, Awakening.TU: Observation.TU}
-# A day's label from (that day, the next day), None after the last. A Tu
-# after a Tu has none, nor has a Tu that comes first, which is checked apart.
-_DECODE = {
-    (Observation.M, Observation.M): Awakening.M_H,
-    (Observation.M, None): Awakening.M_H,
-    (Observation.M, Observation.TU): Awakening.M_T,
-    (Observation.TU, Observation.M): Awakening.TU,
-    (Observation.TU, None): Awakening.TU,
-}
+# A day's label: the next day (None after the last) picks a table, and that
+# day its label from it. A Tu after a Tu has none, nor has a Tu that comes
+# first, which is checked apart.
+_ANY_NEXT = {Observation.M: Awakening.M_H, Observation.TU: Awakening.TU}
+_BY_NEXT = {Observation.M: _ANY_NEXT, Observation.TU: {Observation.M: Awakening.M_T}, None: _ANY_NEXT}
 
 
 def encode_coins(coins: Iterable[Toss | str]) -> list[Awakening]:
     """Expand tosses into awakenings: H gives (M_H,), T gives (M_T, Tu)."""
-    tosses = parse_coin_tokens(coins)
-    if not tosses:
+    out = _parse_tokens(_AWAKENINGS, coins, lambda runs: list(chain.from_iterable(runs)))
+    if not out:
         raise EmptyInput("cannot encode an empty coin sequence")
-    return list(chain.from_iterable(map(_AWAKENINGS.__getitem__, tosses)))
+    return out
 
 
 def project_labels(seq: Sequence[Awakening]) -> list[Observation]:
     """Erase the subscripts: M_H and M_T both become M, Tu stays Tu."""
-    if not isinstance(seq, (list, tuple)):
-        seq = list(seq)
+    seq = _listed(seq, "Awakenings")
     try:
         return list(map(_DAY.__getitem__, seq))
     except (KeyError, TypeError):
@@ -197,10 +204,11 @@ def decode_observations(
     With ``complete=True`` a trailing M stays a Heads-Monday (a Tails
     experiment cannot stop on its Monday); otherwise it becomes UNDETERMINED.
     """
-    if not isinstance(obs, (list, tuple)):
-        obs = list(obs)
+    if not isinstance(complete, bool):
+        raise ValueError(f"complete must be a bool, got {_shown(complete)}")
+    obs = _listed(obs, "Observations")
     try:
-        out = list(map(_DECODE.__getitem__, zip(obs, chain(islice(obs, 1, None), (None,)))))
+        out = list(map(dict.__getitem__, map(_BY_NEXT.__getitem__, chain(islice(obs, 1, None), (None,))), obs))
     except (KeyError, TypeError):
         out = None
     if out is None or out[:1] == [Awakening.TU]:
@@ -222,6 +230,7 @@ def validate_labeled_sequence(seq: Sequence[Awakening]) -> None:
     with a Monday, every M_T is immediately followed by Tu, every Tu is
     immediately preceded by M_T, and UNDETERMINED is at most the final symbol.
     """
+    seq = _listed(seq, "Awakenings")
     prev = None
     for i, a in enumerate(seq):
         if a is Awakening.TU:
@@ -245,9 +254,15 @@ def validate_labeled_sequence(seq: Sequence[Awakening]) -> None:
 # Reads are case-insensitive; writes use the canonical uppercase forms.
 
 
-_COINS = _TokenTable(Toss, "not a coin toss: {} (expected H or T)", members=True)
-_LABELS = _TokenTable(Awakening, "not an awakening token: {} (expected MH, MT, TU, or ?)")
-_DAYS = _TokenTable(Observation, "not an observed-day token: {} (expected M or TU)")
+_COINS = _TokenTable(dict(zip(Toss, Toss)), "not a coin toss: {} (expected H or T)", members=True)
+_LABELS = _TokenTable(dict(zip(Awakening, Awakening)), "not an awakening token: {} (expected MH, MT, TU, or ?)")
+_DAYS = _TokenTable(dict(zip(Observation, Observation)), "not an observed-day token: {} (expected M or TU)")
+# encode_coins and simulation.forced_run read coins straight into what they
+# need: each toss's awakenings, and 1 for Heads, 0 for Tails.
+_AWAKENINGS = _TokenTable(
+    {Toss.HEADS: (Awakening.M_H,), Toss.TAILS: (Awakening.M_T, Awakening.TU)}, _COINS.error, members=True
+)
+_HEADS = _TokenTable({Toss.HEADS: 1, Toss.TAILS: 0}, _COINS.error, members=True)
 
 
 def parse_coin_tokens(tokens: Iterable[Toss | str]) -> list[Toss]:

@@ -29,7 +29,7 @@ from __future__ import annotations
 from collections.abc import Sequence
 from dataclasses import asdict, dataclass, replace
 from itertools import chain, repeat
-from operator import eq, is_, truediv
+from operator import eq, truediv
 from typing import Iterable, Iterator, Mapping, NamedTuple
 
 import json
@@ -40,7 +40,7 @@ import re
 import numpy as np
 
 from .rationals import _decimal, _shown, require_int
-from .sbp_model import Awakening, EmptyInput, Toss, parse_coin_tokens
+from .sbp_model import _HEADS, Awakening, EmptyInput, Toss, _parse_tokens
 
 GENERATOR_NAME = "philox4x64"
 BLOCK_SIZE = 1 << 16
@@ -320,11 +320,10 @@ def forced_run(
     coins: Iterable[Toss | str], checkpoint_stride: int = 1
 ) -> SimulationRecord:
     """Replay an explicit coin sequence through the same counting pipeline."""
-    tosses = parse_coin_tokens(coins)
-    if not tosses:
+    heads = np.frombuffer(_parse_tokens(_HEADS, coins, bytes), np.uint8)
+    if not heads.size:
         raise EmptyInput("cannot run a simulation on an empty coin sequence")
     require_int("checkpoint_stride", checkpoint_stride, 1)
-    heads = np.fromiter(map(is_, tosses, repeat(Toss.HEADS)), np.uint8, len(tosses))
     blocks = (heads[i:i + BLOCK_SIZE] for i in range(0, len(heads), BLOCK_SIZE))
     return _record(blocks, checkpoint_stride)
 

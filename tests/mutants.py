@@ -150,6 +150,13 @@ MUTANTS = [
            T_MODEL),
     Mutant("final-mt-check-on-mh", MODEL, 'if prev is Awakening.M_T:\n        raise ValueError(f"M_T at position {len',
            'if prev is Awakening.M_H:\n        raise ValueError(f"M_T at position {len', T_MODEL),
+    # The token and decode tables.
+    Mutant("tu-after-tu-decodes", MODEL, "Observation.TU: {Observation.M: Awakening.M_T}",
+           "Observation.TU: {Observation.M: Awakening.M_T, Observation.TU: Awakening.TU}", T_MODEL),
+    Mutant("heads-table-swapped", MODEL, "{Toss.HEADS: 1, Toss.TAILS: 0}", "{Toss.HEADS: 0, Toss.TAILS: 1}",
+           T_MODEL),
+    Mutant("heads-encoded-as-tails", MODEL, "{Toss.HEADS: (Awakening.M_H,),",
+           "{Toss.HEADS: (Awakening.M_T, Awakening.TU),", T_MODEL),
     Mutant("chain-in-model-all", MODEL, '"Awakening", "EmptyInput",', '"Awakening", "Chain", "EmptyInput",',
            ("tests/test_imports.py",)),
     # Rationals.

@@ -1,9 +1,10 @@
 """Branchy reference for the sequence converters of ``sbp_model``.
 
 These are the converters as first written: one branch per symbol in
-``encode_coins`` and ``project_labels``, a validation pass followed by a
-right-neighbor lookahead in ``decode_observations``, and lookahead and
-lookbehind checks in ``validate_labeled_sequence``. On sequences of enum
+``encode_coins`` and ``project_labels``, a parse pass and then a count of
+Heads for ``forced_run``, a validation pass followed by a right-neighbor
+lookahead in ``decode_observations``, and lookahead and lookbehind checks in
+``validate_labeled_sequence``. On sequences of enum
 members, the table-driven converters must agree with them in output, or in
 exception type and message. Not collected by pytest (no ``test_`` prefix).
 """
@@ -31,6 +32,15 @@ def encode_coins(coins):
             out.append(Awakening.M_T)
             out.append(Awakening.TU)
     return out
+
+
+def forced_heads(coins):
+    """The Heads count of ``simulation.forced_run(coins)``: the tosses parsed
+    first, then counted."""
+    tosses = parse_coin_tokens(coins)
+    if not tosses:
+        raise EmptyInput("cannot run a simulation on an empty coin sequence")
+    return tosses.count(Toss.HEADS)
 
 
 def project_labels(seq):

@@ -430,7 +430,7 @@ def outcome(fn, *args, **kwargs):
 observations = st.lists(st.sampled_from(list(Observation)), max_size=12)
 awakenings = st.lists(st.sampled_from(list(Awakening)), max_size=12)
 coin_items = st.lists(
-    st.sampled_from([Toss.HEADS, Toss.TAILS, "H", "t", " h ", "X", None]), max_size=10
+    st.sampled_from([Toss.HEADS, Toss.TAILS, "H", "t", " h ", "X", None, []]), max_size=10
 )
 strangers = st.one_of(
     st.text(max_size=3),
@@ -444,9 +444,15 @@ class TestSequenceOracle:
     """The table-driven converters equal the branchy reference on members, and
     reject any other item at its own position."""
 
-    @given(coin_items)
-    def test_encode_coins(self, coins):
-        assert outcome(encode_coins, coins) == outcome(sequence_oracle.encode_coins, coins)
+    # Each side gets its own copy of the coins, as a list or a one-pass iterator.
+    @given(coin_items, st.sampled_from([list, iter]))
+    def test_encode_coins(self, coins, form):
+        assert outcome(encode_coins, form(coins)) == outcome(sequence_oracle.encode_coins, form(coins))
+
+    @given(coin_items, st.sampled_from([list, iter]))
+    def test_forced_run_counts_heads(self, coins, form):
+        heads = outcome(lambda c: forced_run(c).heads_experiments, form(coins))
+        assert heads == outcome(sequence_oracle.forced_heads, form(coins))
 
     @given(awakenings)
     def test_project_labels(self, seq):

@@ -130,6 +130,24 @@ class TestEncode:
             encode_coins(["H", "X"])
 
 
+class TestNonIterableRejected:
+    @pytest.mark.parametrize("items", [5, None])
+    @pytest.mark.parametrize("convert, what", [
+        (encode_coins, "tokens"),
+        (parse_coin_tokens, "tokens"),
+        (parse_labeled_tokens, "tokens"),
+        (parse_observed_tokens, "tokens"),
+        (project_labels, "Awakenings"),
+        (decode_observations, "Observations"),
+        (validate_labeled_sequence, "Awakenings"),
+    ])
+    def test_value_error_names_what_was_expected(self, convert, what, items):
+        with pytest.raises(ValueError) as info:
+            convert(items)
+        assert type(info.value) is ValueError
+        assert str(info.value) == f"expected an iterable of {what}, got {items!r}"
+
+
 class TestProject:
     def test_erases_subscripts(self):
         assert project_labels([MH, MT, TU]) == [M, M, OTU]
@@ -225,6 +243,12 @@ class TestDecode:
     def test_one_pass_iterator(self):
         assert decode_observations(iter([M, M, OTU, M])) == [MH, MT, TU, UNK]
 
+    @pytest.mark.parametrize("complete", ["no", 1, None, 0.0])
+    def test_non_bool_complete_rejected(self, complete):
+        with pytest.raises(ValueError) as info:
+            decode_observations([M], complete=complete)
+        assert str(info.value) == f"complete must be a bool, got {complete!r}"
+
 
 class TestRoundTrips:
     @pytest.mark.parametrize("coins", ["H", "T", "HT", "TH", "TT", "HTHTT", "THHHT"])
@@ -264,6 +288,13 @@ class TestValidateLabeledSequence:
     def test_rejects_interior_undetermined(self):
         with pytest.raises(ValueError, match="non-final"):
             validate_labeled_sequence([MH, UNK, MH])
+
+    def test_one_pass_iterator(self):
+        validate_labeled_sequence(iter([MT, TU, MH, UNK]))
+        with pytest.raises(ValueError, match="M_T at position 1 is not followed by Tu"):
+            validate_labeled_sequence(iter([MH, MT]))
+        with pytest.raises(ValueError, match="non-final position 0"):
+            validate_labeled_sequence(iter([UNK, MH]))
 
 
 class TestTokens:

@@ -125,6 +125,13 @@ class TestForcedRun:
         with pytest.raises(ValueError, match="checkpoint_stride"):
             forced_run("HT", checkpoint_stride=2.0)
 
+    @pytest.mark.parametrize("coins", [5, None])
+    def test_non_iterable_rejected(self, coins):
+        with pytest.raises(ValueError) as info:
+            forced_run(coins)
+        assert type(info.value) is ValueError
+        assert str(info.value) == f"expected an iterable of tokens, got {coins!r}"
+
     def test_state_frequencies(self):
         freqs = state_frequencies(forced_run("HT"))
         assert freqs == pytest.approx((1 / 3, 1 / 3, 1 / 3))
