@@ -26,7 +26,7 @@ computes every total-variation distance on integer numerators; and
 from __future__ import annotations
 
 from collections import deque
-from collections.abc import Iterator, Sequence
+from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -35,7 +35,7 @@ from math import gcd, lcm
 from operator import mul
 from typing import NamedTuple
 
-from .rationals import _decimal, as_exact, format_rational, require_int
+from .rationals import _decimal, _shown, as_exact, format_rational, require_int
 
 __all__ = [
     "Chain", "ConvergenceRow", "DimensionMismatch", "DistributionVector",
@@ -84,12 +84,18 @@ class NotErgodic(MarkovError):
 
 @dataclass(frozen=True)
 class StateSpace:
-    """Ordered, unique state labels; indices are positions in ``labels``."""
+    """Ordered, unique state labels; indices are positions in ``labels``.
+
+    ``labels`` is an iterable of strings, as a chain spec's "states" are;
+    MarkovError for anything else.
+    """
 
     labels: tuple[str, ...]
 
-    def __init__(self, labels: Sequence[str]):
-        object.__setattr__(self, "labels", tuple(labels))
+    def __init__(self, labels: Iterable[str]):
+        object.__setattr__(self, "labels", tuple(labels) if isinstance(labels, Iterable) else (labels,))
+        if not all(isinstance(label, str) for label in self.labels):
+            raise MarkovError(f"state labels must be an iterable of strings, got {_shown(labels)}")
         if not self.labels:
             raise EmptyStateSpace("state space must contain at least one state")
         if len(set(self.labels)) != len(self.labels):

@@ -26,12 +26,13 @@ def parse_rational(text: str) -> Fraction:
     """Parse ``"a/b"`` or ``"a"`` into an exact Fraction.
 
     Raises ValueError for anything else, including decimal notation
-    ("0.5"), scientific notation, and zero denominators.
+    ("0.5"), scientific notation, zero denominators and values that are not
+    strings.
     """
-    match = _RATIONAL_RE.match(text.strip())
-    if match is None:
+    match = isinstance(text, str) and _RATIONAL_RE.match(text.strip())
+    if not match:
         raise ValueError(
-            f"not an exact rational: {text!r} (expected 'a/b' or 'a' with integer parts)"
+            f"not an exact rational: {_shown(text)} (expected 'a/b' or 'a' with integer parts)"
         )
     numerator = _integer(match.group(1))
     if match.group(2) is None:
@@ -45,8 +46,12 @@ def parse_rational(text: str) -> Fraction:
 def format_rational(value: Fraction) -> str:
     """Render a Fraction as ``"a/b"`` in lowest terms, or ``"a"`` for integers.
 
-    Exact for any size, whatever the interpreter's int-to-str digit limit.
+    Exact for any size, whatever the interpreter's int-to-str digit limit. An
+    int is rendered too; any other value, a bool or a float included, raises
+    ValueError.
     """
+    if not isinstance(value, (Fraction, int)) or isinstance(value, bool):
+        raise ValueError(f"format_rational needs a Fraction or an int, got {_shown(value)}")
     num = _decimal(value.numerator)
     return num if value.denominator == 1 else f"{num}/{_decimal(value.denominator)}"
 

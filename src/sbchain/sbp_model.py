@@ -159,8 +159,8 @@ def _parse_tokens(table: _TokenTable, tokens: Iterable, into=list):
         raise
 
 
-def _stray(enum: type[Enum], i: int, item) -> ValueError:
-    return ValueError(f"position {i}: expected an {enum.__name__}, got {_shown(item)}")
+def _stray(expected: str, i: int, item) -> ValueError:
+    return ValueError(f"position {i}: expected {expected}, got {_shown(item)}")
 
 
 _DAY = {Awakening.M_H: Observation.M, Awakening.M_T: Observation.M, Awakening.TU: Observation.TU}
@@ -192,7 +192,7 @@ def project_labels(seq: Sequence[Awakening]) -> list[Observation]:
                     f"cannot project undetermined awakening at position {i}"
                 ) from None
             if not isinstance(a, Awakening):
-                raise _stray(Awakening, i, a) from None
+                raise _stray("an Awakening", i, a) from None
         raise
 
 
@@ -215,7 +215,7 @@ def decode_observations(
         # Only now walk the days to find the first malformed one, and where it is.
         for i, o in enumerate(obs):
             if not isinstance(o, Observation):
-                raise _stray(Observation, i, o)
+                raise _stray("an Observation", i, o)
             if o is Observation.TU and i == 0:
                 raise MalformedObservation("observed sequence cannot start with Tu")
             if o is Observation.TU and obs[i - 1] is Observation.TU:
@@ -239,7 +239,7 @@ def validate_labeled_sequence(seq: Sequence[Awakening]) -> None:
             if prev is not Awakening.M_T:
                 raise ValueError(f"Tu at position {i} is not preceded by M_T")
         elif not isinstance(a, Awakening):
-            raise _stray(Awakening, i, a)
+            raise _stray("an Awakening", i, a)
         elif prev is Awakening.M_T:
             raise ValueError(f"M_T at position {i - 1} is not followed by Tu")
         elif a is Awakening.UNDETERMINED and i != len(seq) - 1:
@@ -278,4 +278,10 @@ def parse_observed_tokens(tokens: Iterable[str]) -> list[Observation]:
 
 
 def format_tokens(seq: Iterable[Toss | Awakening | Observation]) -> str:
+    """The canonical tokens of ``seq``'s members, space-separated; ValueError
+    for an input that is not iterable or an item that is not a member."""
+    seq = _listed(seq, "symbols")
+    for i, item in enumerate(seq):
+        if not isinstance(item, _Symbol):
+            raise _stray("a Toss, Awakening or Observation", i, item)
     return " ".join(item.value for item in seq)

@@ -35,7 +35,6 @@ from typing import Iterable, Iterator, Mapping, NamedTuple
 import json
 import math
 import numbers
-import re
 
 import numpy as np
 
@@ -170,9 +169,18 @@ def _draws(seed: int, blocks: Iterable[tuple[int, int]]) -> Iterator[np.ndarray]
         yield np.greater_equal(raw, 128, out=raw.view(np.bool_)).view(np.uint8)[:count]
 
 
+def _required(name: str, kind: type, value):
+    """``value``; ValueError naming ``kind`` unless it is one, so that an
+    entry point refuses a value of another type before reading a field."""
+    if not isinstance(value, kind):
+        raise ValueError(f"{name} must be a {kind.__name__}, got {_shown(value)}")
+    return value
+
+
 def _seeded_blocks(config: SimulationConfig) -> Iterator[np.ndarray]:
-    # One generator and one state for the whole stream.
-    n = config.n_experiments
+    # One generator and one state for the whole stream. Every seeded entry
+    # point reads its config here first.
+    n = _required("config", SimulationConfig, config).n_experiments
     sizes = (min(BLOCK_SIZE, n - start) for start in range(0, n, BLOCK_SIZE))
     return _draws(config.seed, enumerate(sizes))
 
@@ -336,17 +344,18 @@ def _totals(config: SimulationConfig) -> SimulationRecord:
 
 def halfer_statistic(record: SimulationRecord) -> float:
     """Per-experiment Heads frequency."""
-    return record.heads_experiments / record.total_experiments
+    return _required("record", SimulationRecord, record).heads_experiments / record.total_experiments
 
 
 def thirder_statistic(record: SimulationRecord) -> float:
     """Per-awakening Heads frequency."""
-    return record.heads_awakenings / record.total_awakenings
+    return _required("record", SimulationRecord, record).heads_awakenings / record.total_awakenings
 
 
 def state_frequencies(record: SimulationRecord) -> tuple[float, float, float]:
     """Occupation frequency of (M_H, M_T, Tu) in the awakening stream."""
-    return tuple(count / record.total_awakenings for count in record.state_counts)
+    counts = _required("record", SimulationRecord, record).state_counts
+    return tuple(count / record.total_awakenings for count in counts)
 
 
 def _finite(name: str, value) -> float:
@@ -425,12 +434,13 @@ _DOMAIN = "checkpoint experiments must strictly increase within [1, 2**53], awak
 
 def _checkpoint_columns(record: SimulationRecord) -> tuple[np.ndarray, np.ndarray]:
     """int64 columns m and a of the record's checkpoints (m, a); ValueError
-    unless the config is a SimulationConfig or None, the checkpoints are a
-    sequence of one or more, each a pair of ints, m strictly increases within
-    [1, 2**53], each a lies in [m, 2m], and the marks are the config's. Only
-    checkpoints other than a Checkpoint :class:`_Rows` view are walked int by
-    int; the checks on the columns run every time."""
-    checkpoints = record.checkpoints
+    unless ``record`` is a SimulationRecord, its config a SimulationConfig or
+    None, the checkpoints are a sequence of one or more, each a pair of ints,
+    m strictly increases within [1, 2**53], each a lies in [m, 2m], and the
+    marks are the config's. Only checkpoints other than a Checkpoint
+    :class:`_Rows` view are walked int by int; the checks on the columns run
+    every time."""
+    checkpoints = _required("record", SimulationRecord, record).checkpoints
     if not isinstance(record.config, (SimulationConfig, type(None))) or not isinstance(checkpoints, Sequence):
         raise ValueError("a record needs a SimulationConfig or None and a sequence of checkpoints")
     n = len(checkpoints)
@@ -482,14 +492,6 @@ def _json_head(record: SimulationRecord) -> str:
 
 
 _ROWS_KEY = '"checkpoints": ['
-_AWAKENINGS = re.compile(r'"awakenings": ([0-9]+)')
-_EXPERIMENTS = re.compile(r'"experiments": ([0-9]+)')
-
-
-def _ints(digits: list[str]) -> np.ndarray:
-    """int64 of each string of ASCII digits, by numpy's text parser; a number
-    past int64 reads as 2**63 - 1, which :func:`_checkpoint_columns` refuses."""
-    return np.fromstring(" ".join(digits), np.int64, sep=" ")
 
 
 def _renders(record: SimulationRecord, text: str) -> bool:
@@ -506,53 +508,38 @@ def _renders(record: SimulationRecord, text: str) -> bool:
 
 
 def _reread(text: str) -> SimulationRecord | None:
-    """The record whose :func:`record_to_json` is ``text``, or None.
+    """The seeded record whose :func:`record_to_json` is ``text``, or None.
 
-    Two candidates, each kept only if it :func:`_renders` as ``text``. A
-    seeded record is a function of its config, so the first is the config's
-    :func:`run_simulation`, tried only when n <= len(text) // 2: past about
-    2 bytes of text per experiment the scan is cheaper, and the same rule
-    keeps any run within the size of its own text. The second is the scan:
-    the config in the header and the counts in the rows.
+    A seeded record is a function of its config, so the candidate is the
+    config's :func:`run_simulation`, kept only if it :func:`_renders` as
+    ``text``. It is run only when n <= len(text) // 2, about 2 bytes of text
+    per experiment, so a forged header never starts a run larger than its own
+    text; sparser strides and forced records are left to :func:`_loads`.
     """
     try:
         end = text.index(_ROWS_KEY) + len(_ROWS_KEY)
-        config = json.loads(text[:end] + "]}")["config"]
-        if config is not None:
-            config = SimulationConfig(**config)
-            rerun = config.n_experiments <= len(text) // 2 and run_simulation(config)
-            if rerun and _renders(rerun, text):
-                return rerun
-        wakes = _AWAKENINGS.findall(text, end)
-        if config is None:
-            exps = _ints(_EXPERIMENTS.findall(text, end))
-        else:
-            exps = _marks(config, len(wakes))
-        wakes = _ints(wakes)
-        if len(exps) != len(wakes):
-            return None
-        record = SimulationRecord(config, _Rows(Checkpoint, exps, wakes))
-        return record if _renders(record, text) else None
+        # A forced record's config, null, raises TypeError here.
+        config = SimulationConfig(**json.loads(text[:end] + "]}")["config"])
     except (KeyError, TypeError, ValueError, RecursionError):
         return None
+    rerun = config.n_experiments <= len(text) // 2 and run_simulation(config)
+    if rerun and _renders(rerun, text):
+        return rerun
+    return None
 
 
 def record_from_json(text: str) -> SimulationRecord:
     """Parse :func:`record_to_json` output.
 
     Raises ValueError for any document that function could not have written.
-    Three paths, each taken only when the one before gives no record:
+    Two paths, the second taken only when the first gives no record:
 
     - re-run: a seeded record whose n is at most len(text) // 2 is run again
-      from its config, and kept if it renders as ``text``;
-    - scan: the config in the header and the counts in the rows give a
-      record, kept if it renders as ``text``;
-    - ``json.loads``, for any layout: its config and row counts give a
-      record, and the document must be, field for field, what
+      from its config, and kept if it renders as ``text``, with or without
+      the one "\\n" that ``simulate --format json`` adds after it;
+    - ``json.loads``, for every other text and any layout: its config and row
+      counts give a record, and the document must be, field for field, what
       :func:`record_to_json` writes for that record.
-
-    The first two read the writer's text with or without the one "\\n" that
-    ``simulate --format json`` adds after it.
     """
     return isinstance(text, str) and _reread(text) or _loads(text)
 

@@ -97,6 +97,21 @@ MUTANTS = [
     Mutant("no-render-check", SIM, "if rerun and _renders(rerun, text):", "if rerun:", T_SIM),
     Mutant("no-size-rule", SIM, "rerun = config.n_experiments <= len(text) // 2 and run_simulation(config)",
            "rerun = run_simulation(config)", T_SIM),
+    # The entry points' type checks.
+    Mutant("config-type-unchecked", SIM, 'n = _required("config", SimulationConfig, config).n_experiments',
+           "n = config.n_experiments", T_SIM),
+    Mutant("writer-record-type-unchecked", SIM,
+           'checkpoints = _required("record", SimulationRecord, record).checkpoints',
+           "checkpoints = record.checkpoints", T_SIM),
+    Mutant("halfer-record-type-unchecked", SIM,
+           'return _required("record", SimulationRecord, record).heads_experiments',
+           "return record.heads_experiments", T_SIM),
+    Mutant("thirder-record-type-unchecked", SIM,
+           'return _required("record", SimulationRecord, record).heads_awakenings',
+           "return record.heads_awakenings", T_SIM),
+    Mutant("frequencies-record-type-unchecked", SIM,
+           'counts = _required("record", SimulationRecord, record).state_counts',
+           "counts = record.state_counts", T_SIM),
     Mutant("lln-min-denominator", SIM, "e = max(den for _, den in ratios)", "e = min(den for _, den in ratios)",
            T_SIM),
     Mutant("lln-divides-twice", SIM, "/ (n * e) for", "/ n / e for", T_SIM),
@@ -130,6 +145,8 @@ MUTANTS = [
            "        den *= d\n        yield ConvergenceRow(n, _over(w, den), _tv(w, den, p, q))\n", T_CORE),
     Mutant("tv-on-d-squared", CORE, "2 * d * q)", "2 * d * d)", T_CORE),
     Mutant("convergence-tv-wrong-denominator", CORE, "_tv(w, den, p, q)", "_tv(w, d, p, q)", T_CORE),
+    Mutant("labels-not-strings", CORE, "if not all(isinstance(label, str) for label in self.labels):",
+           "if False:", T_CORE),
     Mutant("ints-recomputed", CORE, "    @cached_property\n    def _ints", "    @property\n    def _ints", T_CORE),
     Mutant("period-recomputed", CORE, "    @cached_property\n    def _period", "    @property\n    def _period",
            T_CORE),
@@ -157,6 +174,8 @@ MUTANTS = [
            T_MODEL),
     Mutant("heads-encoded-as-tails", MODEL, "{Toss.HEADS: (Awakening.M_H,),",
            "{Toss.HEADS: (Awakening.M_T, Awakening.TU),", T_MODEL),
+    Mutant("format-accepts-non-member", MODEL, "if not isinstance(item, _Symbol):", "if False:", T_MODEL),
+    Mutant("format-takes-non-iterable", MODEL, '    seq = _listed(seq, "symbols")\n', "", T_MODEL),
     Mutant("chain-in-model-all", MODEL, '"Awakening", "EmptyInput",', '"Awakening", "Chain", "EmptyInput",',
            ("tests/test_imports.py",)),
     # Rationals.
@@ -167,6 +186,11 @@ MUTANTS = [
            ("tests/test_rationals.py",)),
     Mutant("integer-without-sign", RAT, '        if text[0] == "-":\n            return -_integer(text[1:])\n', "",
            ("tests/test_rationals.py",)),
+    Mutant("parse-takes-non-text", RAT, "match = isinstance(text, str) and _RATIONAL_RE", "match = _RATIONAL_RE",
+           ("tests/test_rationals.py",)),
+    Mutant("format-takes-any-type", RAT, "if not isinstance(value, (Fraction, int)) or isinstance(value, bool):",
+           "if False:", ("tests/test_rationals.py",)),
+    Mutant("format-takes-bool", RAT, " or isinstance(value, bool):", ":", ("tests/test_rationals.py",)),
     Mutant("require-int-in-all", RAT, '__all__ = ["as_exact", "format_rational", "parse_rational"]',
            '__all__ = ["as_exact", "format_rational", "parse_rational", "require_int"]', ("tests/test_imports.py",)),
     # The CLI.

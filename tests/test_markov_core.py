@@ -130,6 +130,28 @@ class TestConstruction:
         with pytest.raises(EmptyStateSpace):
             StateSpace([])
 
+    # Labels are strings, as the chain spec reader demands.
+    @pytest.mark.parametrize(
+        "build, shown",
+        [
+            (lambda: StateSpace(5), "5"),
+            (lambda: StateSpace(None), "None"),
+            (lambda: new_chain(5, [[1]]), "5"),
+            (lambda: StateSpace([[1], [2]]), "[[1], [2]]"),
+            (lambda: StateSpace([1, 2]), "[1, 2]"),
+            (lambda: StateSpace(["a", None]), "['a', None]"),
+        ],
+        ids=["int", "none", "int-in-new-chain", "unhashable-labels", "int-labels", "none-label"],
+    )
+    def test_labels_that_are_not_strings(self, build, shown):
+        with pytest.raises(MarkovError) as info:
+            build()
+        assert str(info.value) == f"state labels must be an iterable of strings, got {shown}"
+
+    def test_labels_from_any_iterable_of_strings(self):
+        assert StateSpace(iter(["a", "b"])).labels == ("a", "b")
+        assert StateSpace("ab").labels == ("a", "b")
+
     def test_initial_length_mismatch(self):
         with pytest.raises(DimensionMismatch):
             new_chain(["a", "b"], [[1, 0], [0, 1]], initial=[1])

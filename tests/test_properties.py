@@ -40,6 +40,7 @@ from sbchain.sbp_model import (
     decode_observations,
     encode_coins,
     exact_distribution,
+    format_tokens,
     project_labels,
     validate_labeled_sequence,
 )
@@ -480,16 +481,18 @@ class TestSequenceOracle:
     def test_non_member_names_its_position(self, coins, data):
         labels = encode_coins(coins)
         observed = project_labels(labels)
-        for convert, base, enum in [
-            (project_labels, labels, Awakening),
-            (validate_labeled_sequence, labels, Awakening),
-            (lambda obs: decode_observations(obs, data.draw(st.booleans())), observed, Observation),
+        for convert, base, kind, expected in [
+            (project_labels, labels, Awakening, "an Awakening"),
+            (validate_labeled_sequence, labels, Awakening, "an Awakening"),
+            (lambda obs: decode_observations(obs, data.draw(st.booleans())), observed, Observation,
+             "an Observation"),
+            (format_tokens, labels, (Toss, Awakening, Observation), "a Toss, Awakening or Observation"),
         ]:
-            item = data.draw(strangers.filter(lambda x: not isinstance(x, enum)))
+            item = data.draw(strangers.filter(lambda x: not isinstance(x, kind)))
             i = data.draw(st.integers(0, len(base)))
             with pytest.raises(ValueError) as info:
                 convert([*base[:i], item, *base[i:]])
-            assert str(info.value) == f"position {i}: expected an {enum.__name__}, got {item!r}"
+            assert str(info.value) == f"position {i}: expected {expected}, got {item!r}"
 
 
 class TestRunProperties:
@@ -705,12 +708,12 @@ class TestRecordBoundary:
 
     @given(st.integers(0, 2**64 - 1), st.integers(1, 3000), st.integers(1, 3000))
     @example(seed=3, n=100, stride=1)  # about 140 bytes of text per experiment: re-run
-    @example(seed=3, n=3000, stride=3000)  # one row, about 0.14 bytes: scan
+    @example(seed=3, n=3000, stride=3000)  # one row, about 0.14 bytes: json.loads
     @settings(deadline=None)
-    def test_rerun_scan_and_json_loads_agree(self, seed, n, stride):
+    def test_rerun_and_json_loads_agree(self, seed, n, stride):
         # A seeded record is re-run from its config when n <= len(text) // 2,
-        # and scanned otherwise or when the re-run renders other text; both
-        # give the record that json.loads gives for the same document.
+        # and read by json.loads otherwise; both give the record that json.loads
+        # gives for the same document in another layout.
         record = run_simulation(SimulationConfig(seed, n, stride))
         text = record_to_json(record)
         runs = []
@@ -719,16 +722,16 @@ class TestRecordBoundary:
             runs.append(run_simulation(config))
             return runs[-1]
 
-        with mock.patch.object(simulation, "run_simulation", run):
-            read = simulation._reread(text)
+        loads = mock.Mock(wraps=simulation._loads)
+        with mock.patch.object(simulation, "run_simulation", run), mock.patch.object(simulation, "_loads", loads):
+            read = record_from_json(text)
         assert read == record
         rerun = n <= len(text) // 2
         assert len(runs) == rerun
+        assert loads.call_count == (not rerun)
         if rerun:
             assert read is runs[0]
-        # With no re-run candidate, the scan alone gives the record.
-        with mock.patch.object(simulation, "run_simulation", lambda config: None):
-            assert simulation._reread(text) == record
+        assert simulation._loads(text) == record
         assert simulation._loads(json.dumps(json.loads(text))) == record
 
     @given(record_coins, record_strides, st.integers(0, 2**64 - 1), st.booleans())

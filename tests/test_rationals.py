@@ -41,6 +41,14 @@ class TestParseRational:
         with pytest.raises(ValueError, match="not an exact rational"):
             parse_rational(text)
 
+    @pytest.mark.parametrize(
+        "value, shown", [(5, "5"), (None, "None"), (b"1/2", "b'1/2'"), (Fraction(1, 2), "Fraction(1, 2)")]
+    )
+    def test_rejects_values_that_are_not_text(self, value, shown):
+        with pytest.raises(ValueError) as info:
+            parse_rational(value)
+        assert str(info.value) == f"not an exact rational: {shown} (expected 'a/b' or 'a' with integer parts)"
+
 
 class TestFormatRational:
     def test_lowest_terms(self):
@@ -52,6 +60,15 @@ class TestFormatRational:
     def test_round_trip(self):
         for q in (Fraction(3, 7), Fraction(-5, 9), Fraction(0), Fraction(4)):
             assert parse_rational(format_rational(q)) == q
+
+    def test_ints_are_formatted(self):
+        assert format_rational(-12) == "-12"
+
+    @pytest.mark.parametrize("value, shown", [(0.5, "0.5"), (True, "True"), ("1/2", "'1/2'"), (None, "None")])
+    def test_rejects_values_that_are_not_exact(self, value, shown):
+        with pytest.raises(ValueError) as info:
+            format_rational(value)
+        assert str(info.value) == f"format_rational needs a Fraction or an int, got {shown}"
 
 
 # 10**5001 + 7: above CPython's default int/str limit of 4300 digits, with a

@@ -140,6 +140,7 @@ class TestNonIterableRejected:
         (project_labels, "Awakenings"),
         (decode_observations, "Observations"),
         (validate_labeled_sequence, "Awakenings"),
+        (format_tokens, "symbols"),
     ])
     def test_value_error_names_what_was_expected(self, convert, what, items):
         with pytest.raises(ValueError) as info:
@@ -359,6 +360,20 @@ class TestTokens:
         assert format_tokens([MH, MT, TU]) == "MH MT TU"
         assert format_tokens([Toss.HEADS, Toss.TAILS]) == "H T"
         assert format_tokens([M, OTU]) == "M TU"
+
+    @pytest.mark.parametrize(
+        "seq, message",
+        [
+            (["H"], "position 0: expected a Toss, Awakening or Observation, got 'H'"),
+            ([None], "position 0: expected a Toss, Awakening or Observation, got None"),
+            (iter([MH, Toss.TAILS, "TU"]), "position 2: expected a Toss, Awakening or Observation, got 'TU'"),
+        ],
+        ids=["text", "none-item", "iterator"],
+    )
+    def test_format_refuses_what_is_not_a_member(self, seq, message):
+        with pytest.raises(ValueError) as info:
+            format_tokens(seq)
+        assert str(info.value) == message
 
     def test_token_round_trip(self):
         labels = encode_coins("HTT")
