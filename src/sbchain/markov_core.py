@@ -35,7 +35,7 @@ from math import gcd, lcm
 from operator import mul
 from typing import NamedTuple
 
-from .rationals import _decimal, _shown, as_exact, format_rational, require_int
+from .rationals import _decimal, _required, _shown, as_exact, format_rational, require_int
 
 __all__ = [
     "Chain", "ConvergenceRow", "DimensionMismatch", "DistributionVector",
@@ -218,6 +218,10 @@ class Chain:
     initial: DistributionVector | None = None
 
     def __post_init__(self):
+        _required("states", StateSpace, self.states)
+        _required("matrix", TransitionMatrix, self.matrix)
+        if self.initial is not None:
+            _required("initial", DistributionVector, self.initial)
         if self.matrix.dimension != self.states.size:
             raise DimensionMismatch(
                 f"matrix is {self.matrix.dimension}x{self.matrix.dimension} "
@@ -312,7 +316,7 @@ def matrix_power(matrix: TransitionMatrix, n: int) -> TransitionMatrix:
     require_int("n", n)
     if n < 0:
         raise ValueError(f"matrix power needs n >= 0, got {_decimal(n)}")
-    k = matrix.dimension
+    k = _required("matrix", TransitionMatrix, matrix).dimension
     a, d = matrix._ints
     rows = _times_power(None, a, n) if n else [[int(i == j) for j in range(k)] for i in range(k)]
     den = d**n
@@ -327,7 +331,7 @@ def n_step_distribution(chain: Chain, n: int) -> DistributionVector:
     1 x k matrix (a k^3 squaring per bit of m past the first, and a k^2
     product per set bit); ties step. P^(n-1) itself is never formed.
     """
-    if chain.initial is None:
+    if _required("chain", Chain, chain).initial is None:
         raise MissingInitialDistribution(
             "n-step distribution needs a chain with an initial distribution"
         )
@@ -375,7 +379,7 @@ def _structure(matrix: TransitionMatrix) -> int | None:
 
 def is_irreducible(matrix: TransitionMatrix) -> bool:
     """True iff the positive-entry digraph is strongly connected."""
-    return matrix._period is not None
+    return _required("matrix", TransitionMatrix, matrix)._period is not None
 
 
 def period(matrix: TransitionMatrix, state: int) -> int:
@@ -384,7 +388,7 @@ def period(matrix: TransitionMatrix, state: int) -> int:
     Defined here only for irreducible matrices, where the period is the same
     for every state: irreducibility is checked first, then the state index.
     """
-    p = matrix._period
+    p = _required("matrix", TransitionMatrix, matrix)._period
     if p is None:
         raise NotIrreducible("period is defined here only for irreducible matrices")
     require_int("state", state)
@@ -396,14 +400,14 @@ def period(matrix: TransitionMatrix, state: int) -> int:
 
 def is_aperiodic(matrix: TransitionMatrix) -> bool:
     """True iff the (irreducible) matrix has period 1."""
-    if matrix._period is None:
+    if _required("matrix", TransitionMatrix, matrix)._period is None:
         raise NotIrreducible("aperiodicity is defined here only for irreducible matrices")
     return matrix._period == 1
 
 
 def is_ergodic(matrix: TransitionMatrix) -> bool:
     """True iff irreducible and aperiodic."""
-    return matrix._period == 1
+    return _required("matrix", TransitionMatrix, matrix)._period == 1
 
 
 def stationary_distribution(matrix: TransitionMatrix) -> DistributionVector:
@@ -413,7 +417,7 @@ def stationary_distribution(matrix: TransitionMatrix) -> DistributionVector:
     contain more than one element and any single answer would be arbitrary.
     Irreducible-but-periodic matrices are accepted (uniqueness still holds).
     """
-    return matrix._law
+    return _required("matrix", TransitionMatrix, matrix)._law
 
 
 def _stationary(matrix: TransitionMatrix) -> DistributionVector:
@@ -457,7 +461,7 @@ def _tv(x: Sequence[int], d: int, p: Sequence[int], q: int) -> Fraction:
 
 def total_variation_distance(p: DistributionVector, q: DistributionVector) -> Fraction:
     """Half the L1 distance between two distributions, exact."""
-    if len(p) != len(q):
+    if len(_required("p", DistributionVector, p)) != len(_required("q", DistributionVector, q)):
         raise DimensionMismatch(
             f"distributions have lengths {len(p)} and {len(q)}"
         )
@@ -472,7 +476,7 @@ def expectation(values: Sequence[Fraction | int | str], pi: DistributionVector) 
     ``values`` holds f evaluated at every state, in state order, as a list or
     tuple; anything else raises MarkovError.
     """
-    if _length(values, "function values") != len(pi):
+    if _length(values, "function values") != len(_required("pi", DistributionVector, pi)):
         raise DimensionMismatch(
             f"function defined on {len(values)} states, distribution has {len(pi)}"
         )
@@ -481,7 +485,7 @@ def expectation(values: Sequence[Fraction | int | str], pi: DistributionVector) 
 
 def ergodicity_report(matrix: TransitionMatrix) -> ErgodicityReport:
     """Full structural summary: irreducibility, period, ergodicity, stationary."""
-    p = matrix._period
+    p = _required("matrix", TransitionMatrix, matrix)._period
     return ErgodicityReport(p is not None, p, None if p is None else matrix._law)
 
 
@@ -497,7 +501,7 @@ def convergence_report(chain: Chain, n_max: int) -> list[ConvergenceRow]:
 def _convergence_rows(chain: Chain, n_max: int) -> Iterator[ConvergenceRow]:
     """The rows of :func:`convergence_report`, one at a time; every check runs
     before the first, so a caller writing rows as they come writes none."""
-    if chain.matrix._period != 1:
+    if _required("chain", Chain, chain).matrix._period != 1:
         raise NotErgodic("convergence report requires an ergodic transition matrix")
     if chain.initial is None:
         raise MissingInitialDistribution("convergence report needs an initial distribution")

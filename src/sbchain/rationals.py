@@ -119,3 +119,11 @@ def require_int(name: str, value, low: int | None = None) -> None:
         raise ValueError(f"{name} must be an int, got {_shown(value)}")
     if low is not None and value < low:
         raise ValueError(f"{name} must be >= {low}, got {_decimal(value)}")
+
+
+def _required(name: str, kind: type, value):
+    """``value``; ValueError naming ``kind`` unless it is one, so that an
+    entry point refuses a value of another type before reading a field."""
+    if not isinstance(value, kind):
+        raise ValueError(f"{name} must be a {kind.__name__}, got {_shown(value)}")
+    return value

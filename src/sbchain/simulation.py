@@ -38,7 +38,7 @@ import numbers
 
 import numpy as np
 
-from .rationals import _decimal, _shown, require_int
+from .rationals import _decimal, _required, _shown, require_int
 from .sbp_model import _HEADS, Awakening, EmptyInput, Toss, _parse_tokens
 
 GENERATOR_NAME = "philox4x64"
@@ -85,21 +85,55 @@ class Checkpoint(NamedTuple):
         return (2 * self.experiments - self.awakenings) / self.awakenings
 
 
+_DOMAIN = "checkpoint experiments must strictly increase within [1, 2**53], awakenings in [m, 2m]"
+
+
 @dataclass(frozen=True)
 class SimulationRecord:
     """Config and checkpoints of one run; every counter derives from them.
 
     The last checkpoint holds the totals. ``config`` and ``generator`` are None
     for forced replays of an explicit coin list, which carry no RNG provenance.
-    From the engine and the reader, ``checkpoints`` is a read-only sequence
-    equal to the tuple of its Checkpoints, made as they are read; it is not a
-    tuple, and ``tuple(record.checkpoints)`` gives one. A sequence built by
-    hand is accepted too, each checkpoint a Checkpoint or a plain ``(m, a)``
-    pair: the totals read the last one by position.
+    ``checkpoints`` is checked once, here, and kept as a read-only sequence
+    over int64 columns (m, a), equal to the tuple of its Checkpoints, made as
+    they are read; it is not a tuple, and ``tuple(record.checkpoints)`` gives
+    one. ValueError unless ``config`` is a SimulationConfig or None and the
+    checkpoints are a sequence of one or more, each a pair of ints (a
+    Checkpoint or a plain ``(m, a)``), m strictly increasing within
+    [1, 2**53], each a in [m, 2m], and the marks the config's. Only
+    checkpoints other than a Checkpoint view are walked int by int.
     """
 
     config: SimulationConfig | None
     checkpoints: Sequence[Checkpoint]
+
+    def __post_init__(self):
+        checkpoints = self.checkpoints
+        if not isinstance(self.config, (SimulationConfig, type(None))) or not isinstance(checkpoints, Sequence):
+            raise ValueError("a record needs a SimulationConfig or None and a sequence of checkpoints")
+        n = len(checkpoints)
+        if n < 1:
+            raise ValueError("a record needs at least one checkpoint")
+        if isinstance(checkpoints, _Rows) and checkpoints._item is Checkpoint:
+            m, a = checkpoints._columns
+        else:
+            # np.fromiter would cast a float, a bool or a numpy int without a word,
+            # and read items other than pairs as one run of ints.
+            if not (all(map(issubclass, set(map(type, checkpoints)), repeat(Sequence)))
+                    and set(map(len, checkpoints)) == {2}
+                    and set(map(type, chain.from_iterable(checkpoints))) <= {int}):
+                raise ValueError("checkpoint experiments and awakenings must be ints, a pair per checkpoint")
+            try:
+                flat = np.fromiter(chain.from_iterable(checkpoints), np.int64, 2 * n)
+            except OverflowError:  # a count past int64
+                raise ValueError(_DOMAIN) from None
+            m, a = flat[0::2], flat[1::2]
+            object.__setattr__(self, "checkpoints", _Rows(Checkpoint, m, a))
+        # Each test runs only once the ones before it hold, so 2 * m fits.
+        if m[0] < 1 or m[-1] > 2**53 or (m[1:] <= m[:-1]).any() or ((a < m) | (a > 2 * m)).any():
+            raise ValueError(_DOMAIN)
+        if self.config is not None and not np.array_equal(m, _marks(self.config, n)):
+            raise ValueError("checkpoint marks do not match the config")
 
     @property
     def generator(self) -> str | None:
@@ -107,11 +141,11 @@ class SimulationRecord:
 
     @property
     def total_experiments(self) -> int:
-        return self.checkpoints[-1][0]
+        return self.checkpoints[-1].experiments
 
     @property
     def total_awakenings(self) -> int:
-        return self.checkpoints[-1][1]
+        return self.checkpoints[-1].awakenings
 
     @property
     def heads_experiments(self) -> int:
@@ -167,14 +201,6 @@ def _draws(seed: int, blocks: Iterable[tuple[int, int]]) -> Iterator[np.ndarray]
         raw = philox.random_raw(-(-count // 8)).astype("<u8", copy=False).view(np.uint8)
         # A toss is its byte's top bit: Heads is byte >= 128, written in place as 0/1.
         yield np.greater_equal(raw, 128, out=raw.view(np.bool_)).view(np.uint8)[:count]
-
-
-def _required(name: str, kind: type, value):
-    """``value``; ValueError naming ``kind`` unless it is one, so that an
-    entry point refuses a value of another type before reading a field."""
-    if not isinstance(value, kind):
-        raise ValueError(f"{name} must be a {kind.__name__}, got {_shown(value)}")
-    return value
 
 
 def _seeded_blocks(config: SimulationConfig) -> Iterator[np.ndarray]:
@@ -267,7 +293,8 @@ class _Rows(Sequence):
     its rows equals, another view included; views of one item type compare
     column by column. Slices, copies and pickles are views too, while ``+``
     joins rows as a tuple does and gives a tuple. A Checkpoint view over the
-    int64 columns (m, a) spares the writers a walk over their ints."""
+    int64 columns (m, a) is what every SimulationRecord holds, and the
+    writers render from its columns."""
 
     __slots__ = ("_item", "_columns")
 
@@ -337,9 +364,9 @@ def forced_run(
 
 
 def _totals(config: SimulationConfig) -> SimulationRecord:
-    """``run_simulation(config)`` with only its last checkpoint: one count-only pass."""
-    counts = run_simulation(replace(config, checkpoint_stride=config.n_experiments))
-    return SimulationRecord(config, counts.checkpoints)
+    """The run of ``config`` at stride n, whose one checkpoint holds the
+    totals: one count-only pass."""
+    return run_simulation(replace(config, checkpoint_stride=config.n_experiments))
 
 
 def halfer_statistic(record: SimulationRecord) -> float:
@@ -429,45 +456,6 @@ def _header(record: SimulationRecord) -> dict:
     }
 
 
-_DOMAIN = "checkpoint experiments must strictly increase within [1, 2**53], awakenings in [m, 2m]"
-
-
-def _checkpoint_columns(record: SimulationRecord) -> tuple[np.ndarray, np.ndarray]:
-    """int64 columns m and a of the record's checkpoints (m, a); ValueError
-    unless ``record`` is a SimulationRecord, its config a SimulationConfig or
-    None, the checkpoints are a sequence of one or more, each a pair of ints,
-    m strictly increases within [1, 2**53], each a lies in [m, 2m], and the
-    marks are the config's. Only checkpoints other than a Checkpoint
-    :class:`_Rows` view are walked int by int; the checks on the columns run
-    every time."""
-    checkpoints = _required("record", SimulationRecord, record).checkpoints
-    if not isinstance(record.config, (SimulationConfig, type(None))) or not isinstance(checkpoints, Sequence):
-        raise ValueError("a record needs a SimulationConfig or None and a sequence of checkpoints")
-    n = len(checkpoints)
-    if n < 1:
-        raise ValueError("a record needs at least one checkpoint")
-    if isinstance(checkpoints, _Rows) and checkpoints._item is Checkpoint:
-        m, a = checkpoints._columns
-    else:
-        # np.fromiter would cast a float, a bool or a numpy int without a word,
-        # and read items other than pairs as one run of ints.
-        if not (all(map(issubclass, set(map(type, checkpoints)), repeat(Sequence)))
-                and set(map(len, checkpoints)) == {2}
-                and set(map(type, chain.from_iterable(checkpoints))) <= {int}):
-            raise ValueError("checkpoint experiments and awakenings must be ints, a pair per checkpoint")
-        try:
-            flat = np.fromiter(chain.from_iterable(checkpoints), np.int64, 2 * n)
-        except OverflowError:  # a count past int64
-            raise ValueError(_DOMAIN) from None
-        m, a = flat[0::2], flat[1::2]
-    # Each test runs only once the ones before it hold, so 2 * m fits.
-    if m[0] < 1 or m[-1] > 2**53 or (m[1:] <= m[:-1]).any() or ((a < m) | (a > 2 * m)).any():
-        raise ValueError(_DOMAIN)
-    if record.config is not None and not np.array_equal(m, _marks(record.config, n)):
-        raise ValueError("checkpoint marks do not match the config")
-    return m, a
-
-
 def _marks(config: SimulationConfig, rows: int) -> np.ndarray:
     """The experiments m at each of ``rows`` checkpoints of a run of
     ``config``, as int64: every stride-th, then the last; ValueError unless
@@ -484,10 +472,10 @@ def _marks(config: SimulationConfig, rows: int) -> np.ndarray:
 _JSON_TAIL = "\n  ]\n}"
 
 
-def _json_head(record: SimulationRecord) -> str:
+def _json_head(header: dict) -> str:
     # The header is small and goes through json, so _header stays the schema;
     # json's pure-Python indent encoder is far too slow for 1e5+ rows.
-    head = json.dumps({**_header(record), "checkpoints": []}, indent=2)
+    head = json.dumps({**header, "checkpoints": []}, indent=2)
     return head.removesuffix("[]\n}") + "[\n"
 
 
@@ -499,8 +487,8 @@ def _renders(record: SimulationRecord, text: str) -> bool:
     the one "\\n" after it that ``simulate --format json`` writes. The text is
     rendered a chunk at a time and compared in place; repr is a function of
     the float, so equal text means equal statistics."""
-    columns, at = _checkpoint_columns(record), 0  # checked before the header reads them
-    for chunk in _text("json", _json_head(record), [columns]):
+    at = 0
+    for chunk in _text("json", _json_head(_header(record)), [record.checkpoints._columns]):
         if not text.startswith(chunk, at):
             return False
         at += len(chunk)
@@ -547,8 +535,8 @@ def record_from_json(text: str) -> SimulationRecord:
 def _loads(text: str) -> SimulationRecord:
     """:func:`record_from_json` by way of ``json.loads``, for any layout.
 
-    The config and the rows' counts give the record, whose checkpoints
-    :func:`_checkpoint_columns` checks. Each row must then equal its
+    The config and the rows' counts give the record, which checks its
+    checkpoints as it is built. Each row must then equal its
     Checkpoint's four fields, with float statistics, and each header field
     the one :func:`_header` gives: field for field, what
     :func:`record_to_json` writes for the record.
@@ -567,7 +555,7 @@ def _loads(text: str) -> SimulationRecord:
         counts = tuple((row["experiments"], row["awakenings"]) for row in rows)
     except (KeyError, TypeError) as exc:
         raise ValueError(f"malformed record: {exc!r}") from None
-    record = SimulationRecord(config, _Rows(Checkpoint, *_checkpoint_columns(SimulationRecord(config, counts))))
+    record = SimulationRecord(config, counts)
     # Each row streamed against its Checkpoint's; == lets 1 or true pass for
     # 1.0, so the statistics' type is tested too. The counts are ints already.
     written = ({"experiments": c.experiments, "awakenings": c.awakenings, "halfer": c.halfer,
@@ -706,8 +694,8 @@ def _shortest(num: np.ndarray, den: np.ndarray) -> np.ndarray:
 
 def _rows(texts: list[str], m: np.ndarray, a: np.ndarray, *columns: np.ndarray) -> str:
     """Text of a row per checkpoint: texts[0], m, texts[1], a, texts[2],
-    columns[0], ..., texts[-1], from int64 columns m and a, which
-    :func:`_checkpoint_columns` accepts, and uint8 matrices with a row per
+    columns[0], ..., texts[-1], from int64 columns m and a, which a
+    SimulationRecord accepts, and uint8 matrices with a row per
     checkpoint, NULs dropped. The rows are built as one byte matrix."""
     # Each count keeps only its largest number's digits, so the NUL replace
     # has nothing to remove where a chunk's numbers are all as wide; a >= m,
@@ -776,14 +764,16 @@ def _text(fmt: str, head: str, columns: Iterable[tuple[np.ndarray, np.ndarray]])
 
 
 def record_to_json(record: SimulationRecord) -> str:
-    """JSON text of ``record``; ValueError for checkpoints the reader refuses."""
-    columns = _checkpoint_columns(record)
-    return "".join(_text("json", _json_head(record), [columns]))
+    """JSON text of ``record``, which :func:`record_from_json` reads back as
+    an equal record; ValueError unless it is a SimulationRecord."""
+    columns = _required("record", SimulationRecord, record).checkpoints._columns
+    return "".join(_text("json", _json_head(_header(record)), [columns]))
 
 
 def record_to_csv(record: SimulationRecord) -> str:
-    """CSV text of ``record``; ValueError for checkpoints the reader refuses."""
-    return "".join(_text("csv", _CSV_HEADER, [_checkpoint_columns(record)]))
+    """CSV text of ``record``; ValueError unless it is a SimulationRecord."""
+    columns = _required("record", SimulationRecord, record).checkpoints._columns
+    return "".join(_text("csv", _CSV_HEADER, [columns]))
 
 
 def _record_chunks(config: SimulationConfig, fmt: str) -> Iterator[str]:
@@ -795,7 +785,7 @@ def _record_chunks(config: SimulationConfig, fmt: str) -> Iterator[str]:
         # gives the header its totals.
         yield record_to_json(run_simulation(config))
         return
-    # The JSON header needs the totals before any row.
-    head = _json_head(_totals(config)) if fmt == "json" else _CSV_HEADER
+    # The JSON header needs the totals before any row; its config is the run's.
+    head = _json_head({**_header(_totals(config)), "config": asdict(config)}) if fmt == "json" else _CSV_HEADER
     folded = _fold(_seeded_blocks(config), config.checkpoint_stride)
     yield from _text(fmt, head, ((m, 2 * m - h) for _, m, h in folded))

@@ -79,6 +79,8 @@ MUTANTS = [
     # The join changes no bytes, only the number of renders, which test_cli_stream.py counts.
     Mutant("text-never-joins", SIM, "if held and (rows >= _MERGE_ROWS or pair is None):", "if held:",
            ("tests/test_cli_stream.py",)),
+    Mutant("streamed-head-with-totals-config", SIM, '_json_head({**_header(_totals(config)), "config": asdict(config)})',
+           "_json_head(_header(_totals(config)))", ("tests/test_cli_stream.py",)),
     Mutant("no-json-block-separator", SIM, '(_json_rows, ",\\n", _JSON_TAIL)', '(_json_rows, "", _JSON_TAIL)', T_STREAM),
     Mutant("view-eq-reads-m-only", SIM, "all(map(np.array_equal, self._columns, other._columns))",
            "np.array_equal(self._columns[0], other._columns[0])", T_SIM),
@@ -101,8 +103,16 @@ MUTANTS = [
     Mutant("config-type-unchecked", SIM, 'n = _required("config", SimulationConfig, config).n_experiments',
            "n = config.n_experiments", T_SIM),
     Mutant("writer-record-type-unchecked", SIM,
-           'checkpoints = _required("record", SimulationRecord, record).checkpoints',
-           "checkpoints = record.checkpoints", T_SIM),
+           'columns = _required("record", SimulationRecord, record).checkpoints._columns\n'
+           '    return "".join(_text("json"',
+           'columns = record.checkpoints._columns\n    return "".join(_text("json"', T_SIM),
+    Mutant("csv-writer-record-type-unchecked", SIM,
+           'columns = _required("record", SimulationRecord, record).checkpoints._columns\n'
+           '    return "".join(_text("csv"',
+           'columns = record.checkpoints._columns\n    return "".join(_text("csv"', T_SIM),
+    Mutant("record-unchecked-at-construction", SIM,
+           "if not isinstance(self.config, (SimulationConfig, type(None))) or not isinstance(checkpoints, Sequence):",
+           "if False:", T_SIM),
     Mutant("halfer-record-type-unchecked", SIM,
            'return _required("record", SimulationRecord, record).heads_experiments',
            "return record.heads_experiments", T_SIM),
@@ -145,14 +155,19 @@ MUTANTS = [
            "        den *= d\n        yield ConvergenceRow(n, _over(w, den), _tv(w, den, p, q))\n", T_CORE),
     Mutant("tv-on-d-squared", CORE, "2 * d * q)", "2 * d * d)", T_CORE),
     Mutant("convergence-tv-wrong-denominator", CORE, "_tv(w, den, p, q)", "_tv(w, d, p, q)", T_CORE),
+    Mutant("chain-parts-unchecked", CORE,
+           '        _required("states", StateSpace, self.states)\n'
+           '        _required("matrix", TransitionMatrix, self.matrix)\n'
+           '        if self.initial is not None:\n'
+           '            _required("initial", DistributionVector, self.initial)\n', "", T_CORE),
     Mutant("labels-not-strings", CORE, "if not all(isinstance(label, str) for label in self.labels):",
            "if False:", T_CORE),
     Mutant("ints-recomputed", CORE, "    @cached_property\n    def _ints", "    @property\n    def _ints", T_CORE),
     Mutant("period-recomputed", CORE, "    @cached_property\n    def _period", "    @property\n    def _period",
            T_CORE),
     Mutant("law-recomputed", CORE, "    @cached_property\n    def _law", "    @property\n    def _law", T_CORE),
-    Mutant("expectation-without-length", CORE, 'if _length(values, "function values") != len(pi):',
-           "if len(values) != len(pi):", T_CORE),
+    Mutant("expectation-without-length", CORE, 'if _length(values, "function values") != len(',
+           "if len(values) != len(", T_CORE),
     Mutant("power-message-f-string", CORE, 'f"matrix power needs n >= 0, got {_decimal(n)}"',
            'f"matrix power needs n >= 0, got {n}"', ("tests/test_rationals.py",)),
     # The sequence model.
@@ -191,6 +206,8 @@ MUTANTS = [
     Mutant("format-takes-any-type", RAT, "if not isinstance(value, (Fraction, int)) or isinstance(value, bool):",
            "if False:", ("tests/test_rationals.py",)),
     Mutant("format-takes-bool", RAT, " or isinstance(value, bool):", ":", ("tests/test_rationals.py",)),
+    Mutant("required-takes-any-type", RAT, "if not isinstance(value, kind):", "if False:",
+           ("tests/test_simulation.py", "tests/test_markov_core.py")),
     Mutant("require-int-in-all", RAT, '__all__ = ["as_exact", "format_rational", "parse_rational"]',
            '__all__ = ["as_exact", "format_rational", "parse_rational", "require_int"]', ("tests/test_imports.py",)),
     # The CLI.

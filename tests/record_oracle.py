@@ -8,12 +8,21 @@ produce exactly their bytes. Not collected by pytest (no ``test_`` prefix).
 
 import json
 
-from sbchain.simulation import _header
+from sbchain.simulation import SimulationRecord, _header
 
 
 def checkpoint_marks(total, stride):
     """Every ``stride``-th unit below ``total``, then ``total``: a run's marks."""
     return [*range(stride, total, stride), total]
+
+
+def unchecked_record(config, checkpoints):
+    """A SimulationRecord built without its checks, so that the oracle can
+    write text that no record gives, for the reader to refuse."""
+    record = object.__new__(SimulationRecord)
+    object.__setattr__(record, "config", config)
+    object.__setattr__(record, "checkpoints", checkpoints)
+    return record
 
 
 def record_to_json(record):

@@ -409,6 +409,39 @@ def test_integer_arguments_reject_non_ints(call, value):
         call(value)
 
 
+MATRIX_TYPE = "matrix must be a TransitionMatrix, got "
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        pytest.param(lambda: matrix_power(5, 2), MATRIX_TYPE + "5", id="matrix_power"),
+        pytest.param(lambda: n_step_distribution(5, 1), "chain must be a Chain, got 5", id="n_step_distribution"),
+        pytest.param(lambda: stationary_distribution(5), MATRIX_TYPE + "5", id="stationary_distribution"),
+        pytest.param(lambda: ergodicity_report(None), MATRIX_TYPE + "None", id="ergodicity_report"),
+        pytest.param(lambda: convergence_report(5, 3), "chain must be a Chain, got 5", id="convergence_report"),
+        pytest.param(lambda: period(5, 0), MATRIX_TYPE + "5", id="period"),
+        pytest.param(lambda: is_irreducible(5), MATRIX_TYPE + "5", id="is_irreducible"),
+        pytest.param(lambda: is_aperiodic(5), MATRIX_TYPE + "5", id="is_aperiodic"),
+        pytest.param(lambda: is_ergodic(5), MATRIX_TYPE + "5", id="is_ergodic"),
+        pytest.param(lambda: total_variation_distance(5, 5), "p must be a DistributionVector, got 5",
+                     id="total_variation_distance"),
+        pytest.param(lambda: total_variation_distance(sbp_chain().initial, SBP_GRID),
+                     "q must be a DistributionVector, got [[", id="total_variation_distance-q"),
+        pytest.param(lambda: expectation([1, 1, 1], 5), "pi must be a DistributionVector, got 5", id="expectation"),
+        pytest.param(lambda: Chain(5, 5), "states must be a StateSpace, got 5", id="chain-states"),
+        pytest.param(lambda: Chain(sbp_chain().states, SBP_GRID), MATRIX_TYPE + "[[", id="chain-grid"),
+        pytest.param(lambda: Chain(sbp_chain().states, sbp_chain().matrix, 5),
+                     "initial must be a DistributionVector, got 5", id="chain-initial"),
+    ],
+)
+def test_typed_arguments_reject_other_types(call, message):
+    # Each raised AttributeError or TypeError before its type was checked.
+    with pytest.raises(ValueError) as info:
+        call()
+    assert str(info.value).startswith(message)
+
+
 # --- structure checks ------------------------------------------------------
 
 

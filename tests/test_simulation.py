@@ -343,7 +343,10 @@ class TestRecordShape:
             "checkpoints",
         ]
         assert Checkpoint._fields == ("experiments", "awakenings")
-        assert not hasattr(SimulationRecord, "__post_init__")
+        # Construction checks the checkpoints and keeps nothing else.
+        assert vars(SimulationRecord(None, ((2, 3),))).keys() == {"config", "checkpoints"}
+        with pytest.raises(ValueError, match=r"\[m, 2m\]"):
+            SimulationRecord(None, ((2, 5),))
 
     def test_counters_follow_from_last_checkpoint(self):
         record = SimulationRecord(None, (Checkpoint(2, 3), Checkpoint(5, 7)))
@@ -363,6 +366,23 @@ class TestRecordShape:
         for write in (record_to_json, record_to_csv):
             assert write(plain) == write(named)
         assert record_from_json(record_to_json(plain)) == named
+        # Every record holds its checkpoints as a read-only Checkpoint view.
+        for record in (plain, named):
+            assert isinstance(record.checkpoints, simulation._Rows) and record.checkpoints._item is Checkpoint
+            assert record.checkpoints == named.checkpoints and record == named
+            assert not any(column.flags.writeable for column in record.checkpoints._columns)
+
+    def test_invalid_records_are_refused_when_built(self):
+        # Each was accepted once, and failed or gave a statistic only later.
+        for config, checkpoints in [(None, 5), (5, ((1, 1),))]:
+            with pytest.raises(ValueError, match="a SimulationConfig or None and a sequence of checkpoints"):
+                SimulationRecord(config, checkpoints)
+        record = run_simulation(SimulationConfig(1, 100, 10))
+        with pytest.raises(ValueError, match="checkpoint marks do not match the config"):
+            dataclasses.replace(record, config=SimulationConfig(1, 100, 20))
+        trace = lln_trace(SimulationConfig(5, 100, 7), indicator(Awakening.M_H))
+        with pytest.raises(ValueError, match="checkpoint experiments and awakenings must be ints"):
+            SimulationRecord(None, trace.running_averages)
 
     @pytest.mark.parametrize("write", [record_to_json, record_to_csv])
     @pytest.mark.parametrize(
@@ -478,9 +498,9 @@ class TestSerialization:
         ],
     )
     def test_writers_refuse_what_the_reader_refuses(self, write, config, checkpoints, message):
-        record = SimulationRecord(config, tuple(Checkpoint(m, a) for m, a in checkpoints))
+        # Construction refuses these, so no writer is handed one.
         with pytest.raises(ValueError, match=message):
-            write(record)
+            write(SimulationRecord(config, tuple(Checkpoint(m, a) for m, a in checkpoints)))
 
 
 class TestLLNTrace:
@@ -676,8 +696,8 @@ class TestRecordFromJson:
 
     @pytest.mark.parametrize("m", [2**53 + 1, 2**64])
     def test_marks_above_2_to_53_rejected(self, m):
-        # The oracle writes through json.dumps; record_to_json refuses these.
-        text = record_oracle.record_to_json(SimulationRecord(None, (Checkpoint(m, m + 1),)))
+        # The oracle writes through json.dumps; no record holds these.
+        text = record_oracle.record_to_json(record_oracle.unchecked_record(None, (Checkpoint(m, m + 1),)))
         with pytest.raises(ValueError, match=r"within \[1, 2\*\*53\]"):
             record_from_json(text)
 
@@ -896,8 +916,8 @@ class TestRecordFromJsonText:
 
 class TestKeptColumns:
     """Records from the engine and the reader keep the int64 columns they
-    were counted in; every check on the columns still runs, and any other
-    checkpoint tuple is walked int by int."""
+    were counted in, and any other checkpoint tuple is walked int by int into
+    columns; every check on the columns runs when the record is built."""
 
     SEEDED = run_simulation(TestSerialization.CFG)
     FORCED = forced_run("HTTHT", checkpoint_stride=1)
@@ -908,9 +928,8 @@ class TestKeptColumns:
 
     @pytest.mark.parametrize("write", [record_to_json, record_to_csv])
     def test_another_config_is_refused(self, write):
-        record = dataclasses.replace(self.SEEDED, config=SimulationConfig(9, 1000, 125))
         with pytest.raises(ValueError, match="checkpoint marks do not match the config"):
-            write(record)
+            write(dataclasses.replace(self.SEEDED, config=SimulationConfig(9, 1000, 125)))
 
     @pytest.mark.parametrize("write", [record_to_json, record_to_csv])
     @pytest.mark.parametrize("count", [1.0, True, np.int64(1)], ids=["float", "bool", "numpy-int64"])
@@ -956,7 +975,7 @@ class TestKeptColumns:
 
     def test_kept_columns_are_read_only(self):
         for record in self.records():
-            for column in simulation._checkpoint_columns(record):
+            for column in record.checkpoints._columns:
                 with pytest.raises(ValueError, match="read-only"):
                     column[0] = 2
 
@@ -1118,9 +1137,10 @@ class TestCheckpointView:
         copies = [
             copy.deepcopy(view),
             pickle.loads(pickle.dumps(view)),
-            dataclasses.asdict(SimulationRecord(None, view))["checkpoints"],
             dataclasses.asdict(LLNTrace((0.0, 0.0, 0.0), view))["running_averages"],
         ]
+        if item_type is Checkpoint:  # a record refuses a trace's float averages
+            copies.append(dataclasses.asdict(SimulationRecord(None, view))["checkpoints"])
         for other in copies:
             assert isinstance(other, simulation._Rows)
             assert other == view
