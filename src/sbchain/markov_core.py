@@ -240,7 +240,9 @@ class ErgodicityReport:
 
     ``period`` and ``stationary`` are present exactly when the matrix is
     irreducible: only then is the period the same for every state and the
-    stationary distribution unique.
+    stationary distribution unique. MarkovError, naming the field, unless
+    ``irreducible`` is a bool, ``period`` None or an int >= 1 and
+    ``stationary`` None or a DistributionVector.
     """
 
     irreducible: bool
@@ -248,6 +250,12 @@ class ErgodicityReport:
     stationary: DistributionVector | None
 
     def __post_init__(self):
+        if not isinstance(self.irreducible, bool):
+            raise MarkovError(f"irreducible must be a bool, got {_shown(self.irreducible)}")
+        if not (self.period is None or type(self.period) is int and self.period >= 1):
+            raise MarkovError(f"period must be None or an int >= 1, got {_shown(self.period)}")
+        if not isinstance(self.stationary, (DistributionVector, type(None))):
+            raise MarkovError(f"stationary must be None or a DistributionVector, got {_shown(self.stationary)}")
         if not self.irreducible == (self.period is not None) == (self.stationary is not None):
             raise MarkovError("period and stationary distribution present iff irreducible")
 
@@ -426,8 +434,10 @@ def _stationary(matrix: TransitionMatrix) -> DistributionVector:
     a, d = matrix._ints
     # Equations indexed by column j: sum_i pi_i (A[i][j] - D [i == j]) = 0.
     # The k equations are linearly dependent (rows of P - I sum to zero), so
-    # replacing any one with the normalization sum pi_i = 1 gives a
-    # nonsingular system; we replace the last.
+    # any k - 1 of them have the same solutions as all k: for an irreducible
+    # P, the multiples c pi. Replacing the last with the normalization
+    # sum pi_i = 1 forces c = 1, so the system is nonsingular and each
+    # column below finds a pivot.
     system = [[a[i][j] - (d if i == j else 0) for i in range(k)] + [0] for j in range(k - 1)]
     system.append([1] * (k + 1))
     # Fraction-free elimination below each pivot (Bareiss): every entry stays
@@ -437,9 +447,7 @@ def _stationary(matrix: TransitionMatrix) -> DistributionVector:
     # makes integer, so its divisions are exact too.
     previous = 1
     for c in range(k):
-        p = next((r for r in range(c, k) if system[r][c] != 0), None)
-        if p is None:
-            raise MarkovError("singular system in exact solver")
+        p = next(r for r in range(c, k) if system[r][c] != 0)
         system[c], system[p] = system[p], system[c]
         pivot_row = system[c]
         pivot = pivot_row[c]

@@ -71,18 +71,19 @@ class StateCounts(NamedTuple):
 
 class Checkpoint(NamedTuple):
     """Counts after m = ``experiments`` complete experiments, whose
-    h = 2m - ``awakenings`` Heads give both camps' statistics."""
+    h = 2m - ``awakenings`` Heads give both camps' statistics. ``halfer``
+    and ``thirder`` raise ValueError unless 1 <= m <= awakenings <= 2m."""
 
     experiments: int
     awakenings: int
 
-    @property
-    def halfer(self) -> float:
-        return (2 * self.experiments - self.awakenings) / self.experiments
+    def _heads(self) -> int:
+        if not 1 <= self.experiments <= self.awakenings <= 2 * self.experiments:
+            raise ValueError(_DOMAIN)
+        return 2 * self.experiments - self.awakenings
 
-    @property
-    def thirder(self) -> float:
-        return (2 * self.experiments - self.awakenings) / self.awakenings
+    halfer = property(lambda self: self._heads() / self.experiments, doc="h/m, a float")
+    thirder = property(lambda self: self._heads() / self.awakenings, doc="h/a, a float")
 
 
 _DOMAIN = "checkpoint experiments must strictly increase within [1, 2**53], awakenings in [m, 2m]"
@@ -233,13 +234,10 @@ def _fold(
     Heads before it counted once, and each mark reads the count after its
     lo + k tosses, 0 <= k <= hi - lo. With the block's first and last marks
     r_a <= r_b in block-local units, the span is [r_a, r_b) for experiment
-    marks. For awakening marks, let the block hold L tosses, H of them Heads,
-    and h(j) and a(j) count over its first j. The j experiments complete at
-    awakening mark r have a(j) <= r < a(j + 1). As j <= a(j) <= 2j,
-    floor(r / 2) <= j <= r. The last L - j tosses hold at most L - j Heads,
-    so H - (L - j) <= h(j) <= H and 2j - H <= a(j) <= j + L - H, which give
-    r - (L - H) <= j <= floor((r + H) / 2). The span starts as
-    [max(floor(r_a / 2), r_a - (L - H)), min(r_b, floor((r_b + H) / 2))].
+    marks. For awakening marks, let the block hold L tosses, and h(j) and
+    a(j) count over its first j. The j experiments complete at awakening
+    mark r have a(j) <= r < a(j + 1). As j <= a(j) <= 2j, floor(r / 2) <= j
+    <= r, and j <= L, so the span starts as [floor(r_a / 2), min(r_b, L)].
     Probes then narrow it, each a ``count_nonzero`` from its start to its
     middle, since a(j) never decreases: a middle with a(mid) <= r_a becomes
     the start, its Heads count carried along, and one with a(mid) > r_b the
@@ -254,9 +252,7 @@ def _fold(
         if c0 - c0 % stride + stride <= c1:  # the block holds a mark
             q = np.arange(c0 - c0 % stride + stride, c1 + 1, stride)
             first, last = int(q[0]) - c0, int(q[-1]) - c0  # block-local
-            lo, hi = first, last
-            if per_awakening:
-                lo, hi = max(first // 2, first - (size - heads)), min(last, (last + heads) // 2)
+            lo, hi = (first // 2, min(last, size)) if per_awakening else (first, last)
             before = int(np.count_nonzero(block[:lo]))
             while per_awakening and hi - lo > _SPAN:
                 mid = (lo + hi) // 2
@@ -632,18 +628,14 @@ def _split(x):
     return hi, x - hi
 
 
-# x in [10**-j, 10**(1-j)) for j = 5 - i, where i counts the entries <= x,
-# puts v = x·10**p in [10**16, 10**17) for p = 21 - i. Each 10**p is an
-# exact double, and x >= 10**-j exactly when x >= 1e-j, as each 1e-j rounds up.
-_DECADES = np.array([1e-4, 1e-3, 1e-2, 1e-1])
-_SCALE = np.array([float(10**p) for p in range(21, 16, -1)])
+# x in [1/10, 1) puts v = x·10**17 in [10**16, 10**17); 10**17 is an exact
+# double, and x >= 1/10 exactly when x >= 0.1, as the double 0.1 rounds up.
+_SCALE = float(10**17)
 _SCALE_HI, _SCALE_LO = _split(_SCALE)
-# By 10·i + v's leading digit, NULs, "0.", j - 1 zeros and the digit as one
-# 8-byte word, so that one flat gather fills them; _TAIL is _GROUP with
-# trailing zeros NUL, built in numpy, as 1e4 strings would add 0.25 MB to the
-# CLI's peak RSS.
-_LEAD = np.frombuffer("".join("\0" * (i + 1) + "0." + "0" * (4 - i) + str(d) for i in range(5)
-                              for d in range(10)).encode(), "<u8")
+# By v's leading digit, NULs, "0." and the digit as one 8-byte word, so that
+# one gather fills them; _TAIL is _GROUP with trailing zeros NUL, built in
+# numpy, as 1e4 strings would add 0.25 MB to the CLI's peak RSS.
+_LEAD = np.frombuffer("".join("\0" * 5 + "0." + str(d) for d in range(10)).encode(), "<u8")
 _TAIL = _GROUP.view(np.uint8).reshape(-1, 4)
 _TAIL = np.where(np.logical_and.accumulate(_TAIL[:, ::-1] == ord("0"), 1)[:, ::-1], 0, _TAIL).view("<u4")[:, 0]
 
@@ -652,33 +644,33 @@ def _shortest(num: np.ndarray, den: np.ndarray) -> np.ndarray:
     """repr(num / den) for int64 columns 0 <= num <= den, one uint8 row of 24
     bytes each with NULs around it.
 
-    For 1e-4 <= x < 1, repr writes "0.", j - 1 zeros and the shortest digits
-    that read back as x, the nearest such if several do. Dekker's product
-    gives v = x·10**p exactly as hi + lo, so with c17 = round(v) and r = v - c17,
+    For 0.1 <= x < 1, the decade that a record's statistics occupy once they
+    near 1/2 and 1/3, repr writes "0." and the shortest digits that read back
+    as x, the nearest such if several do. Dekker's product gives v = x·10**17
+    exactly as hi + lo, so with c17 = round(v) and r = v - c17,
     c16 = round(v / 10) and c15 = round(v / 100) follow from c17's last
-    digits and r's sign. A candidate w·10**-p reads back as x when |w - v| is
-    below h, half the gap from x to its neighbours in units of 10**-p (never
-    equal: h is an odd multiple of half v's last bit). h < 11.1, so at most
-    one multiple of 100 is that close, and shorter digits are c15's without
-    its trailing zeros; c16 and c17 are the nearest of their length. An x =
-    2**-k reads back as c15, whose digits are exact, so its narrower lower
-    gap does not matter. Every other x, a tie, and den > 2**53, where num /
-    den is not Python's int / int, take repr itself.
+    digits and r's sign.
+    A candidate w·10**-17 reads back as x when |w - v| is below h, half the
+    gap from x to its neighbours in units of 10**-17 (never equal: h is an odd
+    multiple of half v's last bit). h < 11.1, so at most one multiple of 100
+    is that close, and shorter digits are c15's without its trailing zeros;
+    c16 and c17 are the nearest of their length. An x = 2**-k reads back as
+    c15, whose digits are exact, so its narrower lower gap does not matter.
+    Every other x (below 0.1, or 1), a tie, and den > 2**53, where num / den
+    is not Python's int / int, take repr itself.
     """
     x = num / den
-    i = np.searchsorted(_DECADES, x, "right")
-    scale, s_hi, s_lo = _SCALE[i], _SCALE_HI[i], _SCALE_LO[i]
     x_hi, x_lo = _split(x)
-    hi = x * scale
-    lo = x_lo * s_lo - (((hi - x_hi * s_hi) - x_lo * s_hi) - x_hi * s_lo)  # x·10**p - hi
+    hi = x * _SCALE
+    lo = x_lo * _SCALE_LO - (((hi - x_hi * _SCALE_HI) - x_lo * _SCALE_HI) - x_hi * _SCALE_LO)  # v - hi
     r = lo - np.rint(lo)
     c17 = hi.astype(np.int64) + (lo - r).astype(np.int64)
-    w, half = c17, np.ldexp(scale, np.frexp(x)[1] - 54)
+    w, half = c17, np.ldexp(_SCALE, np.frexp(x)[1] - 54)
     for unit in (10, 100):
         c, digits = np.divmod(c17, unit)
         c = (c + ((digits > unit // 2) | ((digits == unit // 2) & (r > 0)))) * unit
         w = np.where(np.abs((c - c17) - r) < half, c, w)
-    fallback = (i == 0) | (x == 1) | (np.abs(r) == 0.5) | ((c17 % 10 == 5) & (r == 0)) | (den > 2**53)
+    fallback = (x < 0.1) | (x == 1) | (np.abs(r) == 0.5) | ((c17 % 10 == 5) & (r == 0)) | (den > 2**53)
     w[fallback] = 10**16
     out = np.empty((len(x), 6), "<u4")
     zeros = np.ones(len(x), bool)  # whether every lower group is 0000
@@ -686,7 +678,7 @@ def _shortest(num: np.ndarray, den: np.ndarray) -> np.ndarray:
         w, rest = np.divmod(w, 10**4)
         out[:, j] = np.where(zeros, _TAIL[rest], _GROUP[rest])
         zeros &= rest == 0
-    out.view("<u8")[:, 0] = _LEAD[10 * i + w]
+    out.view("<u8")[:, 0] = _LEAD[w]
     texts = map(repr, map(truediv, num[fallback].tolist(), den[fallback].tolist()))
     out[fallback] = np.frombuffer("".join(t.rjust(24, "\0") for t in texts).encode(), "<u4").reshape(-1, 6)
     return out.view(np.uint8)

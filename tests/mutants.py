@@ -61,11 +61,10 @@ MUTANTS = [
     Mutant("big-endian-words", SIM, 'astype("<u8", copy=False)', 'astype(">u8", copy=False)', T_SIM),
     Mutant("reversed-bytes", SIM, "copy=False).view(np.uint8)\n", "copy=False).view(np.uint8)[::-1]\n", T_SIM),
     # The fold's spans, bounds and probes.
-    Mutant("experiment-span-late", SIM, "lo, hi = first, last", "lo, hi = first + 1, last", T_SIM),
-    Mutant("half-bound-late", SIM, "max(first // 2,", "max(first // 2 + 1,", T_SIM),
-    Mutant("tails-left-bound-late", SIM, "first - (size - heads))", "first - (size - heads) + 1)", T_SIM),
-    Mutant("mark-bound-early", SIM, "min(last, (last", "min(last - 1, (last", T_SIM),
-    Mutant("heads-bound-early", SIM, "(last + heads) // 2)", "(last + heads) // 2 - 1)", T_SIM),
+    Mutant("experiment-span-late", SIM, "else (first, last)", "else (first + 1, last)", T_SIM),
+    Mutant("half-bound-late", SIM, "(first // 2, min(", "(first // 2 + 1, min(", T_SIM),
+    Mutant("mark-bound-early", SIM, "min(last, size)", "min(last - 1, size)", T_SIM),
+    Mutant("block-bound-early", SIM, "min(last, size)", "min(last, size - 1)", T_SIM),
     Mutant("probe-keeps-below-first", SIM, "if 2 * mid - h <= first:", "if 2 * mid - h < first:", T_SIM),
     Mutant("probe-drops-heads", SIM, "lo, before = mid, h", "lo = mid", T_SIM),
     # The same mutant against the trace oracle alone, whose lone marks in a later block catch it.
@@ -96,6 +95,10 @@ MUTANTS = [
     Mutant("halfer-type-unchecked", SIM, 'for key in ("halfer", "thirder")', 'for key in ("thirder",)', T_SIM),
     Mutant("thirder-type-unchecked", SIM, 'for key in ("halfer", "thirder")', 'for key in ("halfer",)', T_SIM),
     Mutant("heads-as-m-minus-a", SIM, "    h = 2 * m - a\n", "    h = m - a\n", T_SIM),
+    # Rows from 0.01 to 0.1 whose repr takes 17 digits would get 16 from the fast path.
+    Mutant("shortest-below-its-decade", SIM, "fallback = (x < 0.1)", "fallback = (x < 0.01)", T_SIM),
+    Mutant("checkpoint-statistics-unchecked", SIM,
+           "if not 1 <= self.experiments <= self.awakenings <= 2 * self.experiments:", "if False:", T_SIM),
     Mutant("no-render-check", SIM, "if rerun and _renders(rerun, text):", "if rerun:", T_SIM),
     Mutant("no-size-rule", SIM, "rerun = config.n_experiments <= len(text) // 2 and run_simulation(config)",
            "rerun = run_simulation(config)", T_SIM),
@@ -155,6 +158,12 @@ MUTANTS = [
            "        den *= d\n        yield ConvergenceRow(n, _over(w, den), _tv(w, den, p, q))\n", T_CORE),
     Mutant("tv-on-d-squared", CORE, "2 * d * q)", "2 * d * d)", T_CORE),
     Mutant("convergence-tv-wrong-denominator", CORE, "_tv(w, den, p, q)", "_tv(w, d, p, q)", T_CORE),
+    Mutant("report-irreducible-unchecked", CORE, "if not isinstance(self.irreducible, bool):", "if False:", T_CORE),
+    Mutant("report-period-may-be-0", CORE, "and self.period >= 1)", "and self.period >= 0)", T_CORE),
+    Mutant("report-period-may-be-bool", CORE, "type(self.period) is int and", "isinstance(self.period, int) and",
+           T_CORE),
+    Mutant("report-stationary-unchecked", CORE, "if not isinstance(self.stationary, (DistributionVector, type(None))):",
+           "if False:", T_CORE),
     Mutant("chain-parts-unchecked", CORE,
            '        _required("states", StateSpace, self.states)\n'
            '        _required("matrix", TransitionMatrix, self.matrix)\n'

@@ -619,6 +619,25 @@ class TestErgodicityReport:
         with pytest.raises(MarkovError, match="iff irreducible"):
             ErgodicityReport(irreducible=False, period=2, stationary=None)
 
+    THIRDS = DistributionVector([THIRD, THIRD, THIRD])
+
+    @pytest.mark.parametrize(
+        "fields, name",
+        [
+            pytest.param((1, 1, THIRDS), "irreducible", id="int-irreducible"),
+            pytest.param(("yes", 1, THIRDS), "irreducible", id="text-irreducible"),
+            pytest.param((True, 0, THIRDS), "period", id="zero-period"),
+            pytest.param((True, True, THIRDS), "period", id="bool-period"),
+            pytest.param((True, 1.0, THIRDS), "period", id="float-period"),
+            pytest.param((True, "1", THIRDS), "period", id="text-period"),
+            pytest.param((True, 1, 5), "stationary", id="int-stationary"),
+            pytest.param((True, 1, (THIRD, THIRD, THIRD)), "stationary", id="tuple-stationary"),
+        ],
+    )
+    def test_report_fields_are_typed(self, fields, name):
+        with pytest.raises(MarkovError, match=f"^{name} must be"):
+            ErgodicityReport(*fields)
+
     def test_irreducibility_decided_once(self, monkeypatch):
         calls = []
         check = markov_core._structure

@@ -384,6 +384,16 @@ class TestRecordShape:
         with pytest.raises(ValueError, match="checkpoint experiments and awakenings must be ints"):
             SimulationRecord(None, trace.running_averages)
 
+    @pytest.mark.parametrize("counts", [(0, 0), (1, 5), (1, 0), (2, 1), (3, 7), (-2, -3)])
+    def test_checkpoint_statistics_need_the_record_domain(self, counts):
+        # (0, 0) once raised ZeroDivisionError and (1, 5) gave a halfer of -3.0.
+        for statistic in ("halfer", "thirder"):
+            with pytest.raises(ValueError, match=r"\[m, 2m\]"):
+                getattr(Checkpoint(*counts), statistic)
+        # The domain's edges: all Heads (a = m) and all Tails (a = 2m).
+        assert (Checkpoint(3, 3).halfer, Checkpoint(3, 3).thirder) == (1.0, 1.0)
+        assert (Checkpoint(3, 6).halfer, Checkpoint(3, 6).thirder) == (0.0, 0.0)
+
     @pytest.mark.parametrize("write", [record_to_json, record_to_csv])
     @pytest.mark.parametrize(
         "config, checkpoints",
@@ -478,6 +488,23 @@ class TestSerialization:
             rendered += str(rows, "ascii").replace("\0", "").splitlines()
         pairs = zip(num.tolist(), den.tolist(), rendered)
         assert [(a, b, text) for a, b, text in pairs if text != repr(a / b)] == []
+
+    def test_json_statistics_at_the_edge_of_the_shortest_digits_decade(self):
+        # _shortest writes 0.1 <= x < 1 itself and leaves smaller x to repr.
+        # Here: the doubles on either side of 0.1 and 0.1 itself, each as the
+        # p/q nearest it with q <= 2**53; p/q just below and just above 1/10
+        # at every scale; and h/m = 1/m for m from 10 to 100, many
+        # of whose reprs take 17 digits.
+        doubles = [np.nextafter(0.1, 0), 0.1, np.nextafter(0.1, 1)]
+        pairs = [Fraction(x).limit_denominator(2**53).as_integer_ratio() for x in doubles]
+        assert [p / q for p, q in pairs] == doubles
+        for k in range(1, 16):
+            pairs += [(10**k - 1, 10**(k + 1)), (10**k + 1, 10**(k + 1)),
+                      (10**k, 10**(k + 1) + 1), (10**k, 10**(k + 1) - 1)]
+        pairs += [(1, m) for m in range(10, 101)]
+        num, den = (np.array(column) for column in zip(*pairs))
+        rendered = [row.tobytes().replace(b"\0", b"").decode() for row in simulation._shortest(num, den)]
+        assert rendered == [repr(p / q) for p, q in pairs]
 
     @pytest.mark.parametrize("write", [record_to_json, record_to_csv])
     @pytest.mark.parametrize(
