@@ -14,8 +14,9 @@ reducible) and the stationary law. Equality, hashing and repr still read only
 
 Each decision has one path: ``_scaled`` is the only place Fractions become
 integers; ``_stochastic`` checks every row and distribution a caller hands
-in (on integer numerators over the lcm of the denominators), and ``_trusted``
-builds, unchecked, the laws that exact arithmetic derives from checked ones;
+in (on integer numerators over the lcm of the denominators), and
+``rationals._trusted``, which ``simulation`` shares, builds, unchecked, the
+laws that exact arithmetic derives from checked ones;
 ``_times_power`` does all binary powering (squaring only while bits of n
 remain) and ``_walk`` all stepping of a row, and an n-step distribution takes
 whichever of the two makes fewer products, never forming P^(n-1); ``_tv``
@@ -35,7 +36,7 @@ from math import gcd, lcm
 from operator import mul
 from typing import NamedTuple
 
-from .rationals import _decimal, _required, _shown, as_exact, format_rational, require_int
+from .rationals import _decimal, _required, _shown, _trusted, as_exact, format_rational, require_int
 
 __all__ = [
     "Chain", "ConvergenceRow", "DimensionMismatch", "DistributionVector",
@@ -196,17 +197,9 @@ class DistributionVector:
         return self.weights[i]
 
 
-def _trusted(cls, values):
-    """A ``cls`` holding ``values`` unchecked: a tuple of Fractions, or of row
-    tuples, that exact arithmetic on checked laws has made stochastic."""
-    law = object.__new__(cls)
-    object.__setattr__(law, *cls.__dataclass_fields__, values)  # its only field
-    return law
-
-
 def _over(numerators, den):
     """The law numerators / den, which exact arithmetic made stochastic."""
-    return _trusted(DistributionVector, tuple(map(Fraction, numerators, repeat(den))))
+    return _trusted(DistributionVector, weights=tuple(map(Fraction, numerators, repeat(den))))
 
 
 @dataclass(frozen=True)
@@ -328,7 +321,7 @@ def matrix_power(matrix: TransitionMatrix, n: int) -> TransitionMatrix:
     a, d = matrix._ints
     rows = _times_power(None, a, n) if n else [[int(i == j) for j in range(k)] for i in range(k)]
     den = d**n
-    return _trusted(TransitionMatrix, tuple(tuple(map(Fraction, row, repeat(den))) for row in rows))
+    return _trusted(TransitionMatrix, rows=tuple(tuple(map(Fraction, row, repeat(den))) for row in rows))
 
 
 def n_step_distribution(chain: Chain, n: int) -> DistributionVector:

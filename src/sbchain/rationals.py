@@ -127,3 +127,12 @@ def _required(name: str, kind: type, value):
     if not isinstance(value, kind):
         raise ValueError(f"{name} must be a {kind.__name__}, got {_shown(value)}")
     return value
+
+
+def _trusted(cls, **fields):
+    """A ``cls`` holding ``fields``, built unchecked: values the program
+    derives from checked ones, which its constructor would only check again.
+    A caller's values go through the constructor."""
+    built = object.__new__(cls)
+    built.__dict__.update(fields)
+    return built

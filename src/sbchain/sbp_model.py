@@ -25,8 +25,8 @@ from fractions import Fraction
 from itertools import chain, islice
 from typing import Iterable, Sequence
 
-from .markov_core import Chain, DistributionVector, _trusted, new_chain
-from .rationals import _decimal, _shown, require_int
+from .markov_core import Chain, DistributionVector, new_chain
+from .rationals import _decimal, _shown, _trusted, require_int
 
 __all__ = [
     "Awakening", "EmptyInput", "MalformedObservation", "Observation", "Toss",
@@ -110,7 +110,7 @@ def exact_distribution(n: int) -> DistributionVector:
     sign = 1 if n % 2 == 1 else -1
     monday = Fraction(((1 << n) + sign) // 3, 1 << n)
     tuesday = Fraction(((1 << (n - 1)) - sign) // 3, 1 << (n - 1))
-    return _trusted(DistributionVector, (monday, monday, tuesday))
+    return _trusted(DistributionVector, weights=(monday, monday, tuesday))
 
 
 class _TokenTable(dict):

@@ -38,7 +38,7 @@ import numbers
 
 import numpy as np
 
-from .rationals import _decimal, _required, _shown, require_int
+from .rationals import _decimal, _required, _shown, _trusted, require_int
 from .sbp_model import _HEADS, Awakening, EmptyInput, Toss, _parse_tokens
 
 GENERATOR_NAME = "philox4x64"
@@ -49,7 +49,9 @@ _STATES = (Awakening.M_H, Awakening.M_T, Awakening.TU)
 @dataclass(frozen=True)
 class SimulationConfig:
     """Seed, run length, and checkpoint cadence (every ``checkpoint_stride``
-    experiments)."""
+    experiments). ValueError unless the seed fits 64 bits, n_experiments is
+    within [1, 2**53], where every count of a run is exact as a float, and
+    the stride is at least 1."""
 
     seed: int
     n_experiments: int
@@ -60,6 +62,8 @@ class SimulationConfig:
         if not 0 <= self.seed < 2**64:
             raise ValueError(f"seed must be a 64-bit unsigned integer, got {_decimal(self.seed)}")
         require_int("n_experiments", self.n_experiments, 1)
+        if self.n_experiments > 2**53:
+            raise ValueError(f"a config's n_experiments must be at most 2**53, got {_decimal(self.n_experiments)}")
         require_int("checkpoint_stride", self.checkpoint_stride, 1)
 
 
@@ -72,15 +76,17 @@ class StateCounts(NamedTuple):
 class Checkpoint(NamedTuple):
     """Counts after m = ``experiments`` complete experiments, whose
     h = 2m - ``awakenings`` Heads give both camps' statistics. ``halfer``
-    and ``thirder`` raise ValueError unless 1 <= m <= awakenings <= 2m."""
+    and ``thirder`` raise ValueError unless both are ints (not bools) and
+    1 <= m <= awakenings <= 2m."""
 
     experiments: int
     awakenings: int
 
     def _heads(self) -> int:
-        if not 1 <= self.experiments <= self.awakenings <= 2 * self.experiments:
+        m, a = self
+        if not (type(m) is type(a) is int and 1 <= m <= a <= 2 * m):
             raise ValueError(_DOMAIN)
-        return 2 * self.experiments - self.awakenings
+        return 2 * m - a
 
     halfer = property(lambda self: self._heads() / self.experiments, doc="h/m, a float")
     thirder = property(lambda self: self._heads() / self.awakenings, doc="h/a, a float")
@@ -95,14 +101,19 @@ class SimulationRecord:
 
     The last checkpoint holds the totals. ``config`` and ``generator`` are None
     for forced replays of an explicit coin list, which carry no RNG provenance.
-    ``checkpoints`` is checked once, here, and kept as a read-only sequence
-    over int64 columns (m, a), equal to the tuple of its Checkpoints, made as
-    they are read; it is not a tuple, and ``tuple(record.checkpoints)`` gives
-    one. ValueError unless ``config`` is a SimulationConfig or None and the
-    checkpoints are a sequence of one or more, each a pair of ints (a
-    Checkpoint or a plain ``(m, a)``), m strictly increasing within
-    [1, 2**53], each a in [m, 2m], and the marks the config's. Only
-    checkpoints other than a Checkpoint view are walked int by int.
+    ``checkpoints`` is kept as a read-only sequence over int64 columns (m, a),
+    equal to the tuple of its Checkpoints, made as they are read; it is not a
+    tuple, and ``tuple(record.checkpoints)`` gives one.
+
+    A record that a caller builds, by hand, by ``dataclasses.replace`` or
+    from JSON, is checked once, here: ValueError unless ``config`` is a
+    SimulationConfig or None and the checkpoints are a sequence of one or
+    more, each a pair of ints (a Checkpoint or a plain ``(m, a)``), m
+    strictly increasing within [1, 2**53], each a in [m, 2m], and the marks
+    the config's: its n and every multiple of its stride below n. Only
+    checkpoints other than a Checkpoint view are walked int by int. The
+    records that :func:`run_simulation` and :func:`forced_run` derive are
+    built unchecked, by :func:`_record`.
     """
 
     config: SimulationConfig | None
@@ -112,8 +123,8 @@ class SimulationRecord:
         checkpoints = self.checkpoints
         if not isinstance(self.config, (SimulationConfig, type(None))) or not isinstance(checkpoints, Sequence):
             raise ValueError("a record needs a SimulationConfig or None and a sequence of checkpoints")
-        n = len(checkpoints)
-        if n < 1:
+        rows = len(checkpoints)
+        if rows < 1:
             raise ValueError("a record needs at least one checkpoint")
         if isinstance(checkpoints, _Rows) and checkpoints._item is Checkpoint:
             m, a = checkpoints._columns
@@ -125,7 +136,7 @@ class SimulationRecord:
                     and set(map(type, chain.from_iterable(checkpoints))) <= {int}):
                 raise ValueError("checkpoint experiments and awakenings must be ints, a pair per checkpoint")
             try:
-                flat = np.fromiter(chain.from_iterable(checkpoints), np.int64, 2 * n)
+                flat = np.fromiter(chain.from_iterable(checkpoints), np.int64, 2 * rows)
             except OverflowError:  # a count past int64
                 raise ValueError(_DOMAIN) from None
             m, a = flat[0::2], flat[1::2]
@@ -133,8 +144,13 @@ class SimulationRecord:
         # Each test runs only once the ones before it hold, so 2 * m fits.
         if m[0] < 1 or m[-1] > 2**53 or (m[1:] <= m[:-1]).any() or ((a < m) | (a > 2 * m)).any():
             raise ValueError(_DOMAIN)
-        if self.config is not None and not np.array_equal(m, _marks(self.config, n)):
-            raise ValueError("checkpoint marks do not match the config")
+        if self.config is not None:
+            # Strictly increasing marks are the config's when there are as many, the
+            # last is n and the rest are multiples of the stride; min keeps a stride
+            # past int64 out of numpy, as it is then above every mark.
+            n, stride = self.config.n_experiments, self.config.checkpoint_stride
+            if rows != -(-n // stride) or m[-1] != n or (m[:-1] % min(stride, m[-1])).any():
+                raise ValueError("checkpoint marks do not match the config")
 
     @property
     def generator(self) -> str | None:
@@ -172,10 +188,21 @@ class LLNTrace:
     over an int64 and a float64 column, equal to the tuple of its ``(n,
     average)`` pairs of a Python int and float, made as they are read; it is
     not a tuple, and ``tuple(trace.running_averages)`` gives one.
+
+    A trace that a caller builds raises ValueError, naming the field, unless
+    ``f_values`` is a tuple of three floats and ``running_averages`` a
+    sequence other than text; :func:`lln_trace` builds its own unchecked.
     """
 
     f_values: tuple[float, float, float]
     running_averages: Sequence[tuple[int, float]]
+
+    def __post_init__(self):
+        f, averages = self.f_values, self.running_averages
+        if not (isinstance(f, tuple) and len(f) == 3 and all(isinstance(v, float) for v in f)):
+            raise ValueError(f"f_values must be a tuple of three floats, got {_shown(f)}")
+        if not isinstance(averages, Sequence) or isinstance(averages, (str, bytes)):
+            raise ValueError(f"running_averages must be a sequence of (n, average) pairs, got {_shown(averages)}")
 
 
 def _draws(seed: int, blocks: Iterable[tuple[int, int]]) -> Iterator[np.ndarray]:
@@ -335,16 +362,22 @@ class _Rows(Sequence):
         return _Rows, (self._item, *self._columns)
 
 
-def _record(
-    blocks: Iterable[np.ndarray], stride: int, config: SimulationConfig | None = None
-) -> SimulationRecord:
-    _, m, h = map(np.concatenate, zip(*_fold(blocks, stride)))
-    return SimulationRecord(config, _Rows(Checkpoint, m, 2 * m - h))
+def _record(blocks: Iterable[np.ndarray], stride: int, n: int,
+            config: SimulationConfig | None = None) -> SimulationRecord:
+    """The record of ``n`` experiments tossed in ``blocks``, a mark every
+    ``stride``. Each block's marks q fill rows (q - 1) // stride of the
+    columns (m, a), allocated once; the record is built unchecked, as the
+    fold derives its marks and counts exactly."""
+    m, a = np.empty((2, -(-n // stride)), np.int64)
+    for q, marks, h in _fold(blocks, stride):
+        rows = slice((int(q[0]) - 1) // stride, (int(q[-1]) - 1) // stride + 1)
+        m[rows], a[rows] = marks, 2 * marks - h
+    return _trusted(SimulationRecord, config=config, checkpoints=_Rows(Checkpoint, m, a))
 
 
 def run_simulation(config: SimulationConfig) -> SimulationRecord:
     """Run ``config.n_experiments`` seeded experiments."""
-    return _record(_seeded_blocks(config), config.checkpoint_stride, config)
+    return _record(_seeded_blocks(config), config.checkpoint_stride, config.n_experiments, config)
 
 
 def forced_run(
@@ -356,7 +389,7 @@ def forced_run(
         raise EmptyInput("cannot run a simulation on an empty coin sequence")
     require_int("checkpoint_stride", checkpoint_stride, 1)
     blocks = (heads[i:i + BLOCK_SIZE] for i in range(0, len(heads), BLOCK_SIZE))
-    return _record(blocks, checkpoint_stride)
+    return _record(blocks, checkpoint_stride, len(heads))
 
 
 def _totals(config: SimulationConfig) -> SimulationRecord:
@@ -421,7 +454,8 @@ def lln_trace(config: SimulationConfig, f: Mapping[Awakening, float]) -> LLNTrac
     counts = chain.from_iterable(zip(q.tolist(), h.tolist(), (q - m).tolist(), (m - h).tolist())
                                  for q, m, h in folded)
     averages = np.fromiter(((mh * a + mt * b + tu * c) / (n * e) for n, mh, mt, tu in counts), np.float64)
-    return LLNTrace(f_values, _Rows(tuple, np.concatenate([q for q, _, _ in folded]), averages))
+    marks = np.concatenate([q for q, _, _ in folded])
+    return _trusted(LLNTrace, f_values=f_values, running_averages=_Rows(tuple, marks, averages))
 
 
 def indicator(state: Awakening) -> dict[Awakening, float]:
@@ -450,19 +484,6 @@ def _header(record: SimulationRecord) -> dict:
         "total_awakenings": record.total_awakenings,
         "state_counts": {"M_H": counts.m_h, "M_T": counts.m_t, "Tu": counts.tu},
     }
-
-
-def _marks(config: SimulationConfig, rows: int) -> np.ndarray:
-    """The experiments m at each of ``rows`` checkpoints of a run of
-    ``config``, as int64: every stride-th, then the last; ValueError unless
-    the run has ``rows`` marks, none past 2**53. Both are tested on ints
-    before any array is built, so the multiples of the stride fit int64."""
-    n, stride = config.n_experiments, config.checkpoint_stride
-    if n > 2**53 or rows != -(-n // stride):
-        raise ValueError("checkpoint marks do not match the config")
-    marks = np.arange(1, rows + 1, dtype=np.int64) * min(stride, n)
-    marks[-1] = n
-    return marks
 
 
 _JSON_TAIL = "\n  ]\n}"

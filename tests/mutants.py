@@ -97,8 +97,20 @@ MUTANTS = [
     Mutant("heads-as-m-minus-a", SIM, "    h = 2 * m - a\n", "    h = m - a\n", T_SIM),
     # Rows from 0.01 to 0.1 whose repr takes 17 digits would get 16 from the fast path.
     Mutant("shortest-below-its-decade", SIM, "fallback = (x < 0.1)", "fallback = (x < 0.01)", T_SIM),
-    Mutant("checkpoint-statistics-unchecked", SIM,
-           "if not 1 <= self.experiments <= self.awakenings <= 2 * self.experiments:", "if False:", T_SIM),
+    Mutant("checkpoint-statistics-unchecked", SIM, "if not (type(m) is type(a) is int and 1 <= m <= a <= 2 * m):",
+           "if False:", T_SIM),
+    Mutant("checkpoint-counts-may-be-floats", SIM, "type(m) is type(a) is int and ", "", T_SIM),
+    # The fold's records are built unchecked, into rows (q - 1) // stride.
+    Mutant("fill-offset", SIM, "(int(q[0]) - 1) // stride", "int(q[0]) // stride", T_SIM),
+    # One per clause of the config-marks check.
+    Mutant("config-marks-row-count", SIM, "if rows != -(-n // stride) or m[-1]", "if m[-1]", T_SIM),
+    Mutant("config-marks-last", SIM, " or m[-1] != n or ", " or ", T_SIM),
+    Mutant("config-marks-multiples", SIM, " or (m[:-1] % min(stride, m[-1])).any():", ":", T_SIM),
+    Mutant("config-past-2**53", SIM, "if self.n_experiments > 2**53:", "if False:", T_STREAM),
+    Mutant("trace-f-values-unchecked", SIM,
+           "if not (isinstance(f, tuple) and len(f) == 3 and all(isinstance(v, float) for v in f)):",
+           "if False:", T_SIM),
+    Mutant("trace-averages-may-be-text", SIM, " or isinstance(averages, (str, bytes)):", ":", T_SIM),
     Mutant("no-render-check", SIM, "if rerun and _renders(rerun, text):", "if rerun:", T_SIM),
     Mutant("no-size-rule", SIM, "rerun = config.n_experiments <= len(text) // 2 and run_simulation(config)",
            "rerun = run_simulation(config)", T_SIM),

@@ -339,6 +339,14 @@ class TestSimulate:
         assert code == EXIT_USAGE
         assert "n_experiments" in err
 
+    @pytest.mark.parametrize("fmt", ["csv", "json", "text"])
+    def test_run_past_2_to_53_exits_2_before_any_row(self, capsys, fmt):
+        # A CSV stream builds no record, so it once wrote rows of a run that
+        # no record can hold, without end.
+        code, out, err = run_cli(capsys, "simulate", "--n", str(2**53 + 1), "--format", fmt)
+        assert (code, out) == (EXIT_USAGE, "")
+        assert "n_experiments must be at most 2**53" in err
+
     def test_negative_seed_exits_2(self, capsys):
         code, _, err = run_cli(capsys, "simulate", "--seed", "-5", "--n", "10")
         assert code == EXIT_USAGE

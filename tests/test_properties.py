@@ -625,6 +625,18 @@ class TestSpanFoldOracle:
         folded = _fold(iter(blocks), stride, per_awakening)
         assert_same([row for arrays in folded for row in zip(*(a.tolist() for a in arrays))], expected)
 
+    @given(fold_blocks(), fold_strides, st.integers(0, 2**64 - 1))
+    @settings(max_examples=20, deadline=None, phases=NO_EXPLAIN)
+    def test_fold_records_pass_the_construction_check(self, blocks, stride, seed):
+        # The records that the fold derives are built unchecked; the check
+        # that a caller's record goes through accepts each of them as it is.
+        heads = np.concatenate(blocks)
+        coins = np.where(heads, "H", "T").tolist()
+        for record in (forced_run(coins, stride), run_simulation(SimulationConfig(seed, len(coins), stride))):
+            columns = record.checkpoints._columns
+            assert [(c.dtype, c.flags.writeable) for c in columns] == [(np.int64, False)] * 2
+            assert record == SimulationRecord(record.config, tuple(record.checkpoints))
+
 
 # --- record boundary ----------------------------------------------------------
 
@@ -857,6 +869,8 @@ class TestRecordWriterOracle:
 
 # Counts up to 40, or on either side of 2**53 (the largest mark) and of int64.
 domain_counts = st.integers(1, 40) | st.sampled_from([2**53, 2**53 + 1, 2**63 - 1, 2**63, 2**64])
+# A config's run length: a config refuses more than 2**53 experiments.
+config_lengths = st.integers(1, 40) | st.just(2**53)
 
 
 @st.composite
@@ -865,7 +879,7 @@ def checkpoint_records(draw):
     a record's domain or just outside it, with or without a config whose
     marks they may follow."""
     config = draw(st.none() | st.builds(
-        SimulationConfig, st.integers(0, 2**64 - 1), domain_counts, domain_counts
+        SimulationConfig, st.integers(0, 2**64 - 1), config_lengths, domain_counts
     ))
     if config is not None and draw(st.booleans()):
         n, stride = config.n_experiments, config.checkpoint_stride

@@ -61,6 +61,14 @@ class TestConfig:
         with pytest.raises(ValueError, match="checkpoint_stride"):
             SimulationConfig(seed=0, n_experiments=1, checkpoint_stride=0)
 
+    @pytest.mark.parametrize("n", [2**53 + 1, 2**63, 2**64])
+    def test_run_past_2_to_53_refused(self, n):
+        # Every record refuses marks past 2**53, so such a config was refused
+        # only after its whole run, and a CSV stream never refused it.
+        with pytest.raises(ValueError, match=r"^a config's n_experiments must be at most 2\*\*53, got "):
+            SimulationConfig(seed=0, n_experiments=n, checkpoint_stride=1)
+        assert SimulationConfig(seed=0, n_experiments=2**53, checkpoint_stride=n).n_experiments == 2**53
+
     @pytest.mark.parametrize(
         "field, value",
         [
@@ -378,21 +386,35 @@ class TestRecordShape:
             with pytest.raises(ValueError, match="a SimulationConfig or None and a sequence of checkpoints"):
                 SimulationRecord(config, checkpoints)
         record = run_simulation(SimulationConfig(1, 100, 10))
-        with pytest.raises(ValueError, match="checkpoint marks do not match the config"):
-            dataclasses.replace(record, config=SimulationConfig(1, 100, 20))
+        for other in (SimulationConfig(1, 100, 20), SimulationConfig(1, 99, 10)):
+            with pytest.raises(ValueError, match="checkpoint marks do not match the config"):
+                dataclasses.replace(record, config=other)
         trace = lln_trace(SimulationConfig(5, 100, 7), indicator(Awakening.M_H))
         with pytest.raises(ValueError, match="checkpoint experiments and awakenings must be ints"):
             SimulationRecord(None, trace.running_averages)
 
-    @pytest.mark.parametrize("counts", [(0, 0), (1, 5), (1, 0), (2, 1), (3, 7), (-2, -3)])
+    @pytest.mark.parametrize("counts", [(0, 0), (1, 5), (1, 0), (2, 1), (3, 7), (-2, -3), (None, None), ("1", "2"),
+                                        (1.5, 2.0), (True, True), (2.0, 3), (2, 3.0), (np.int64(2), 3)])
     def test_checkpoint_statistics_need_the_record_domain(self, counts):
-        # (0, 0) once raised ZeroDivisionError and (1, 5) gave a halfer of -3.0.
+        # (0, 0) once raised ZeroDivisionError and (1, 5) gave a halfer of -3.0;
+        # (None, None) raised TypeError, and (1.5, 2.0) gave 0.667.
         for statistic in ("halfer", "thirder"):
             with pytest.raises(ValueError, match=r"\[m, 2m\]"):
                 getattr(Checkpoint(*counts), statistic)
         # The domain's edges: all Heads (a = m) and all Tails (a = 2m).
         assert (Checkpoint(3, 3).halfer, Checkpoint(3, 3).thirder) == (1.0, 1.0)
         assert (Checkpoint(3, 6).halfer, Checkpoint(3, 6).thirder) == (0.0, 0.0)
+
+    @pytest.mark.parametrize("marks", [[30, 60, 100], [30, 60, 90, 99], [30, 61, 90, 100], [10, 30, 60, 90, 100]],
+                             ids=["a-row-short", "last-not-n", "off-the-stride", "a-row-more"])
+    def test_config_marks_are_n_and_the_stride_multiples_below_it(self, marks):
+        # Each of the first three fails one clause of the check alone.
+        config = SimulationConfig(seed=1, n_experiments=100, checkpoint_stride=30)
+        record = run_simulation(config)
+        assert [c.experiments for c in record.checkpoints] == [30, 60, 90, 100]
+        assert SimulationRecord(config, tuple(record.checkpoints)) == record
+        with pytest.raises(ValueError, match="checkpoint marks do not match the config"):
+            SimulationRecord(config, [(m, m) for m in marks])
 
     @pytest.mark.parametrize("write", [record_to_json, record_to_csv])
     @pytest.mark.parametrize(
@@ -588,6 +610,32 @@ class TestLLNTrace:
     def test_real_values_accepted(self, value):
         f = {**indicator(Awakening.M_H), Awakening.M_T: value}
         assert lln_trace(self.CFG, f).f_values == (1.0, float(value), 0.0)
+
+    @pytest.mark.parametrize(
+        "f_values, averages, field",
+        [
+            (5, 5, "f_values"),
+            ((1.0, 0.0), (), "f_values"),
+            ([1.0, 0.0, 0.0], (), "f_values"),
+            ((1, 0, 0), (), "f_values"),
+            ((1.0, 0.0, True), (), "f_values"),
+            ((1.0, 0.0, 0.0), 5, "running_averages"),
+            ((1.0, 0.0, 0.0), None, "running_averages"),
+            ((1.0, 0.0, 0.0), "1,0.5", "running_averages"),
+            ((1.0, 0.0, 0.0), b"1,0.5", "running_averages"),
+            ((1.0, 0.0, 0.0), iter([(1, 0.5)]), "running_averages"),
+        ],
+    )
+    def test_a_trace_built_by_hand_is_checked(self, f_values, averages, field):
+        with pytest.raises(ValueError, match=f"^{field} must be a "):
+            LLNTrace(f_values, averages)
+
+    def test_a_trace_rebuilt_from_its_fields_is_accepted(self):
+        # lln_trace builds its trace unchecked; the check accepts it as it is.
+        trace = lln_trace(self.CFG, indicator(Awakening.M_T))
+        assert LLNTrace(trace.f_values, trace.running_averages) == trace
+        assert LLNTrace(trace.f_values, tuple(trace.running_averages)) == trace
+        assert LLNTrace((1.0, np.float64(0.5), -0.0), []).running_averages == []
 
     def test_exact_average_from_counts(self):
         # By hand on a tiny forced stream: verify against the seeded stream's
@@ -1298,6 +1346,23 @@ class TestMemory:
             tracemalloc.stop()
         assert len(record.checkpoints) == 10**5
         assert retained < 4 * 2**20
+
+    @pytest.mark.parametrize("path", ["run_simulation", "forced_run"])
+    def test_a_dense_record_peaks_at_about_its_columns(self, path):
+        # 1e6 checkpoints, whose two int64 columns take 16 MB. Joining each
+        # block's columns and checking the joined record peaked 30.5 and
+        # 31.5 MiB above them.
+        coins = np.where(toss_oracle.block_heads(5, 0, 10**6), "H", "T").tolist()
+        make = {"run_simulation": lambda: run_simulation(SimulationConfig(5, 10**6, 1)),
+                "forced_run": lambda: forced_run(coins, checkpoint_stride=1)}[path]
+        tracemalloc.start()
+        try:
+            record = make()
+            retained, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(record.checkpoints) == 10**6
+        assert peak - retained < self.LIMIT
 
     def test_json_writer_peak_is_a_small_multiple_of_its_text(self):
         # 1e5 checkpoints. Handing one dict per checkpoint to json.dumps
